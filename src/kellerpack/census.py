@@ -8,6 +8,17 @@ tiling (translations, axis permutations among equal axes, per-axis
 reflections) and keeps one orbit representative; with translations
 enabled the search itself is restricted to tilings containing the cube at
 the origin, which meets every translation orbit.
+
+The symmetry group acts on start indices, not on tiling objects.  Starts
+are numbered in row-major order, which is their lexicographic order, so
+the least sorted index tuple over an orbit names the least sorted start
+tuple.  Per (spec, enabled symmetries) one cached table set holds each
+(axis permutation, reflection) element as an image table over the start
+indices, and translation by -o as per-axis rows
+shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
+axes; a full start-by-start translation table would grow with the square
+of the cell count.  translate, permute_axes and reflect remain as the
+object-level reference the tests check the tables against.
 """
 
 from __future__ import annotations
@@ -44,6 +55,8 @@ def default_cell_budget() -> int:
 
 
 # --- symmetry action ----------------------------------------------------
+# translate, permute_axes and reflect build one TorusTiling per group
+# element; they are the reference the tables below are tested against.
 
 def translate(t: TorusTiling, v: Iterable[int]) -> TorusTiling:
     sizes = t.spec.cell_sizes
@@ -94,64 +107,106 @@ def _reflection_subsets(d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major strides: cell (x_1..x_d) has index sum x_a * stride_a."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return tuple(strides)
+
+
+@lru_cache(maxsize=16)
+def _group(spec: TorusSpec, permute: bool, reflections: bool):
+    """Index tables for the symmetry group of `spec`.
+
+    Returns (coords, strides, images, shifts):
+    - coords[i] is the start with row-major index i;
+    - images holds one table per (axis permutation, reflection) element,
+      images[g][i] being the index of the image of coords[i];
+    - shifts[a][o][x] = ((x - o) mod n_a) * stride_a, so a start x
+      translated by -o has index sum_a shifts[a][o_a][x_a].
+    """
+    d = spec.dimension
+    sizes = spec.cell_sizes
+    strides = _strides(sizes)
+    coords = list(product(*(range(n) for n in sizes)))
+    perms = _axis_permutations(spec) if permute else [tuple(range(d))]
+    refls = _reflection_subsets(d) if reflections else [()]
+    images = []
+    for sigma in perms:
+        for axes in refls:
+            flip = [a in axes for a in range(d)]
+            images.append(tuple(
+                sum(
+                    ((-c[sigma[a]] - spec.q[a]) % sizes[a] if flip[a] else c[sigma[a]])
+                    * strides[a]
+                    for a in range(d)
+                )
+                for c in coords
+            ))
+    shifts = tuple(
+        tuple(tuple(((x - o) % n) * st for x in range(n)) for o in range(n))
+        for n, st in zip(sizes, strides)
+    )
+    return coords, strides, images, shifts
+
+
+def _translated(cols, shifts, origin) -> tuple[int, ...]:
+    """Sorted indices of the starts given as per-axis coordinate columns
+    `cols`, translated by -origin."""
+    getters = [shift[o].__getitem__ for shift, o in zip(shifts, origin)]
+    return tuple(sorted(map(sum, zip(*map(map, getters, cols)))))
+
+
+def _image_columns(t: TorusTiling, symmetry: frozenset[str]):
+    """The group tables of t's spec, and the starts of t's image under
+    each (axis permutation, reflection) element as per-axis columns."""
+    coords, strides, images, shifts = _group(
+        t.spec, "permute" in symmetry, "reflect" in symmetry
+    )
+    idx = [sum(x * st for x, st in zip(s, strides)) for s in t.starts]
+    columns = [list(zip(*(coords[image[i]] for i in idx))) for image in images]
+    return coords, shifts, columns
+
+
 def canonical_form(
     t: TorusTiling, symmetry: frozenset[str] = ALL_SYMMETRIES
 ) -> TorusTiling:
     """Lexicographically least orbit element under the enabled symmetries.
 
-    With translations enabled only translations bringing some cube to the
-    origin need be tried: the sorted start list of the minimum begins with
-    the all-zero start, which such a translation always achieves.
+    The minimum is taken over sorted tuples of row-major start indices.
+    Row-major numbering is the lexicographic order of the starts, so the
+    least index tuple names the least start tuple.  With translations
+    enabled only translations bringing some cube of an image to the
+    origin need be tried: the sorted start list of the minimum begins
+    with the all-zero start, which such a translation always achieves.
+    The group acts through the tables of _group; the only TorusTiling
+    built is the result.
     """
     if not validate_tiling(t):
         raise InvalidTilingError("cannot canonicalize an invalid tiling")
-    spec = t.spec
-    perms = _axis_permutations(spec) if "permute" in symmetry else [
-        tuple(range(spec.dimension))
-    ]
-    refls = (
-        _reflection_subsets(spec.dimension) if "reflect" in symmetry else [()]
+    coords, shifts, columns = _image_columns(t, symmetry)
+    zero = [(0,) * t.spec.dimension]
+    best = min(
+        _translated(cols, shifts, origin)
+        for cols in columns
+        for origin in (zip(*cols) if "translate" in symmetry else zero)
     )
-    best: Optional[tuple[tuple[int, ...], ...]] = None
-    for sigma in perms:
-        t1 = permute_axes(t, sigma)
-        for axes in refls:
-            t2 = reflect(t1, axes)
-            if "translate" in symmetry:
-                for s in t2.starts:
-                    cand = translate(t2, tuple(-x for x in s)).starts
-                    if best is None or cand < best:
-                        best = cand
-            else:
-                if best is None or t2.starts < best:
-                    best = t2.starts
-    assert best is not None
-    return TorusTiling(spec, best)
+    return TorusTiling(t.spec, tuple(coords[i] for i in best))
 
 
 def orbit(
     t: TorusTiling, symmetry: frozenset[str] = ALL_SYMMETRIES
 ) -> set[TorusTiling]:
-    """All distinct images of t under the enabled symmetry group."""
-    spec = t.spec
-    perms = _axis_permutations(spec) if "permute" in symmetry else [
-        tuple(range(spec.dimension))
-    ]
-    refls = (
-        _reflection_subsets(spec.dimension) if "reflect" in symmetry else [()]
-    )
-    if "translate" in symmetry:
-        shifts = list(product(*(range(s) for s in spec.cell_sizes)))
-    else:
-        shifts = [tuple([0] * spec.dimension)]
-    out = set()
-    for sigma in perms:
-        t1 = permute_axes(t, sigma)
-        for axes in refls:
-            t2 = reflect(t1, axes)
-            for v in shifts:
-                out.add(translate(t2, v))
-    return out
+    """All distinct images of t under the enabled symmetry group, through
+    the same tables as canonical_form: every (axis permutation,
+    reflection) element followed by every translation of the grid."""
+    coords, shifts, columns = _image_columns(t, symmetry)
+    origins = coords if "translate" in symmetry else [(0,) * t.spec.dimension]
+    images = {
+        _translated(cols, shifts, origin) for cols in columns for origin in origins
+    }
+    return {TorusTiling(t.spec, tuple(coords[i] for i in c)) for c in images}
 
 
 # --- exact-cover search -------------------------------------------------
@@ -161,10 +216,7 @@ def _tables(spec: TorusSpec):
     """Per-spec placement tables: cube masks for every start and, per
     cell, the placements covering that cell."""
     sizes = spec.cell_sizes
-    d = spec.dimension
-    strides = [1] * d
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = _strides(sizes)
 
     def cell_index(cell):
         return sum(x * st for x, st in zip(cell, strides))
@@ -311,7 +363,19 @@ def census(
     jobs: int = 1,
     budget: Optional[int] = None,
 ) -> CensusRow:
-    """Fold the tight-bound report over the canonical tiling stream.
+    """Enumerate the canonical tilings of `spec` and fold them with
+    census_from_tilings."""
+    tilings = enumerate_tilings(spec, symmetry, jobs=jobs, budget=budget)
+    return census_from_tilings(spec, symmetry, tilings)
+
+
+def census_from_tilings(
+    spec: TorusSpec,
+    symmetry: frozenset[str],
+    tilings: list[TorusTiling],
+) -> CensusRow:
+    """Fold the tight-bound report over a list of canonical tilings of
+    `spec`, one per orbit under `symmetry`.
 
     For uniform side lengths the proved bound is asserted and any
     violation aborts loudly.  For mixed side lengths the bound is only
@@ -319,7 +383,6 @@ def census(
     value for the descending side ordering, with the multipile verdict of
     every attaining tiling recorded, and nothing is asserted.
     """
-    tilings = enumerate_tilings(spec, symmetry, jobs=jobs, budget=budget)
     uniform = spec.is_uniform()
     if uniform:
         n = spec.m[0]

@@ -93,10 +93,6 @@ class NotPartitionError(KellerpackError):
     """The family is not a partition of the point set."""
 
 
-class MixedCardinalityError(KellerpackError):
-    """Nontrivial partitions on one axis have differing block counts."""
-
-
 class PreconditionError(KellerpackError):
     """A stated precondition of a compound check failed."""
 

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -96,6 +96,65 @@ class TestCanonicalForm:
 
         assert _axis_permutations(TorusSpec((2, 3), (2, 2))) == [(0, 1)]
         assert len(_axis_permutations(TorusSpec((2, 2), (2, 2)))) == 2
+
+
+def reference_canonical_form(t, symmetry):
+    """Least start tuple over the group, applied one element at a time
+    through the object-level translate/permute_axes/reflect."""
+    spec = t.spec
+    d = spec.dimension
+    keys = list(zip(spec.m, spec.q))
+    perms = [
+        sigma
+        for sigma in permutations(range(d))
+        if "permute" in symmetry or sigma == tuple(range(d))
+        if all(keys[sigma[i]] == keys[i] for i in range(d))
+    ]
+    refls = (
+        list(chain.from_iterable(combinations(range(d), k) for k in range(d + 1)))
+        if "reflect" in symmetry
+        else [()]
+    )
+    best = None
+    for sigma in perms:
+        for axes in refls:
+            image = reflect(permute_axes(t, sigma), axes)
+            if "translate" in symmetry:
+                shifts = [tuple(-x for x in s) for s in image.starts]
+            else:
+                shifts = [(0,) * d]
+            for v in shifts:
+                cand = translate(image, v).starts
+                if best is None or cand < best:
+                    best = cand
+    return TorusTiling(spec, best)
+
+
+SYMMETRY_SUBSETS = [
+    frozenset(c) for k in range(4) for c in combinations(sorted(ALL_SYMMETRIES), k)
+]
+
+
+class TestCanonicalFormOracle:
+    """The index-table action against the object-level reference, on
+    every raw tiling of small grids."""
+
+    @pytest.mark.parametrize(
+        "m,q,subsets",
+        [
+            ((2, 2), (4, 4), SYMMETRY_SUBSETS),
+            ((3, 3), (3, 3), SYMMETRY_SUBSETS),
+            ((2, 2, 2), (1, 2, 2), SYMMETRY_SUBSETS),
+            ((2, 3), (6, 6), [ALL_SYMMETRIES]),
+        ],
+    )
+    def test_matches_reference(self, m, q, subsets):
+        tilings = enumerate_all_tilings(TorusSpec(m, q))
+        for symmetry in subsets:
+            for t in tilings:
+                assert canonical_form(t, symmetry) == reference_canonical_form(
+                    t, symmetry
+                ), (sorted(symmetry), t.starts)
 
 
 class TestSlowPathEquivalence:

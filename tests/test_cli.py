@@ -138,6 +138,23 @@ class TestCensusCommand:
         assert payload["config"]["m"] == "2,2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--m", "2,2", "--q", "2,2"],
+        ["enumerate", "--m", "2,2", "--q", "2,2"],
+        ["verify"],
+    ],
+)
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_input_error(capsys, argv, jobs):
+    code = main(argv + ["--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 class TestBuildMultipile:
     def test_build(self, tmp_path, capsys):
         system = tiling_system(SPEC)
