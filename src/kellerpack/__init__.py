@@ -37,8 +37,6 @@ from .census import (
 )
 from .hats import (
     BoxCountReport,
-    HatBox,
-    hat,
     hat_measure,
     hats_disjoint,
     suit_swap_check,

@@ -30,7 +30,7 @@ from .census import (
     orbit,
 )
 from .errors import BudgetExceededError
-from .hats import hat, hats_disjoint, verify_box_count
+from .hats import hats_disjoint, verify_box_count
 from .multipiles import extremal_p_value, is_multipile
 from .partitions import arc_system, binary_system
 from .sampling import random_keller_family, random_system
@@ -217,7 +217,7 @@ def criterion_6_hat_disjointness() -> CriterionResult:
         boxes = _all_boxes(system)
         for K, L in combinations(boxes, 2):
             pairs += 1
-            if hats_disjoint(hat(system, K), hat(system, L)) != keller_pair(K, L):
+            if hats_disjoint(K, L) != keller_pair(K, L):
                 mismatches += 1
     return CriterionResult(
         "hat disjointness mirrors Keller pairs",

@@ -252,16 +252,31 @@ class PartitionStatus(enum.Enum):
     EXPOSED = "exposed"
 
 
-def _shadow(K: Box, axis: int) -> set[tuple[int, ...]]:
-    axes = [a for a in range(K.system.dimension) if a != axis]
-    return set(product(*(K.factor_elems(a) for a in axes)))
-
-
-def _family_shadow(G: BoxFamily, axis: int) -> set[tuple[int, ...]]:
+def _shadow(boxes: Iterable[Box], axis: int) -> set[tuple[int, ...]]:
+    """Union of the boxes' projections onto the axes other than `axis`."""
     out: set[tuple[int, ...]] = set()
-    for K in G.boxes:
-        out |= _shadow(K, axis)
+    for K in boxes:
+        axes = [a for a in range(K.system.dimension) if a != axis]
+        out.update(product(*(K.factor_elems(a) for a in axes)))
     return out
+
+
+def blocks_share_shadow(G: BoxFamily, axis: int, p: int) -> bool:
+    """Whether the boxes of G over each block of partition p on `axis`
+    cast one and the same shadow on the remaining axes.
+
+    This is the fast test that G restricted to p is a suit for an
+    axis-cylinder; is_cylinder is the point-scan oracle.
+    """
+    groups: list[list[Box]] = [
+        [] for _ in range(G.system.partition(axis, p).n_blocks)
+    ]
+    for K in G.boxes:
+        f = K.factors[axis]
+        if f is not None and f.partition == p:
+            groups[f.block].append(K)
+    first = _shadow(groups[0], axis)
+    return all(_shadow(g, axis) == first for g in groups[1:])
 
 
 def classify_partition(
@@ -287,11 +302,7 @@ def classify_partition(
         Gp = restrict_to_partition(G, axis, p)
         hidden = is_cylinder(realize(Gp), axis)
     else:
-        shadows = [
-            _family_shadow(restrict_to_block(G, axis, p, b), axis)
-            for b in range(part.n_blocks)
-        ]
-        hidden = all(s == shadows[0] for s in shadows[1:])
+        hidden = blocks_share_shadow(G, axis, p)
     return PartitionStatus.HIDDEN if hidden else PartitionStatus.EXPOSED
 
 
@@ -333,12 +344,7 @@ def is_pile(C: BoxFamily, axis: int, p: int) -> bool:
     """Laminated with respect to p and a suit for an axis-cylinder."""
     if C.is_empty or not is_keller_family(C) or not is_laminated(C, axis, p):
         return False
-    part = C.system.partition(axis, p)
-    shadows = [
-        _family_shadow(restrict_to_block(C, axis, p, b), axis)
-        for b in range(part.n_blocks)
-    ]
-    return all(s == shadows[0] for s in shadows[1:])
+    return blocks_share_shadow(C, axis, p)
 
 
 def elementary_aggregate(C: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:

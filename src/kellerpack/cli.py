@@ -1,8 +1,15 @@
 """Command-line entry point.
 
-Exit codes: 0 success/verified, 1 property failure (invalid input, or
-strict inequality where --expect-equality demanded equality), 2 input
-error, 3 budget exceeded, 4 internal theorem violation.
+Exit codes, all chosen in `main`:
+
+0  success, verified
+1  property failure: the input is well formed but a checked property
+   fails, or --expect-equality demanded equality and the bound is strict
+2  input error: a file, an argument or the environment could not be
+   read, parsed or built
+3  budget exceeded
+4  theorem violation: a proved bound failed, which is a library bug
+5  internal error: any other exception; the traceback goes to stderr
 """
 
 from __future__ import annotations
@@ -11,20 +18,26 @@ import argparse
 import csv
 import json
 import sys
+import traceback
+from itertools import combinations
 from typing import Any
 
 from . import __version__
 from .boxes import (
-    BoxFamily,
     c_stats,
     is_keller_family,
     keller_pair,
     theorem_b_report,
 )
 from .census import ALL_SYMMETRIES, census, default_cell_budget, enumerate_tilings
-from .errors import BudgetExceededError, KellerpackError, TheoremViolationError
-from .hats import hat, hats_disjoint, verify_box_count
-from .multipiles import is_multipile
+from .errors import (
+    BudgetExceededError,
+    InvalidTilingError,
+    KellerpackError,
+    TheoremViolationError,
+)
+from .hats import hats_disjoint, verify_box_count
+from .multipiles import build_multipile, is_multipile
 from .serialization import (
     detect_and_load,
     dump_json,
@@ -50,6 +63,26 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_THEOREM = 4
+EXIT_INTERNAL = 5
+
+
+class InputError(Exception):
+    """The command's input could not be read, parsed or built."""
+
+
+def _input(read, *args):
+    """Call read(*args) and re-raise any exception as an InputError.
+
+    Every step that reads a command's files, arguments or environment, or
+    builds library objects from them, runs through here, so that an error
+    raised while building an object counts as bad input, not as a failed
+    property."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        raise InputError(
+            f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        ) from exc
 
 
 def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
@@ -79,72 +112,56 @@ def _symmetry(args) -> frozenset[str]:
     return frozenset() if flags == {"none"} else flags
 
 
+def _load_tree(path: str):
+    obj = load_json(path)
+    system = system_from_obj(obj["system"])
+    return system, tree_from_obj(obj["tree"], system)
+
+
 def cmd_validate(args) -> int:
-    try:
-        obj = detect_and_load(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    obj = _input(detect_and_load, args.path)
     if isinstance(obj, TorusTiling):
         if validate_tiling(obj):
             _emit(args, {"valid": True})
             return EXIT_OK
         _emit(args, {"valid": False, "defect_cell": find_defect(obj)})
         return EXIT_PROPERTY
-    assert isinstance(obj, BoxFamily)
-    try:
-        ok = is_keller_family(obj)
-    except KellerpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    ok = is_keller_family(obj)
     _emit(args, {"valid": ok})
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
 def cmd_analyze(args) -> int:
-    try:
-        obj = detect_and_load(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if isinstance(obj, TorusTiling):
-            if not validate_tiling(obj):
-                print(f"error: invalid tiling, defect {find_defect(obj)}",
-                      file=sys.stderr)
-                return EXIT_PROPERTY
-            params = p_params(obj)
-            G = to_box_family(obj)
-            stats = c_stats(G)
-            report = theorem_c_report(obj) if obj.spec.is_uniform() else None
-            payload = {
-                "p_per_axis": [sorted(v) for v in params.per_axis],
-                "p_total": params.total,
-                "bound": report.bound if report else None,
-                "c_per_axis": list(stats.c_per_axis),
-                "c_total": stats.c_total,
-                "size": len(G),
-                "equality": report.equality if report else None,
-                "multipile": is_multipile(G).verdict,
-                "hidden_partitions": [sorted(h) for h in stats.hidden],
-            }
-        else:
-            if not is_keller_family(obj):
-                print("error: family violates Keller's condition", file=sys.stderr)
-                return EXIT_PROPERTY
-            stats = c_stats(obj)
-            rep = theorem_b_report(obj)
-            payload = {
-                "c_per_axis": list(stats.c_per_axis),
-                "c_total": stats.c_total,
-                "size": rep.size,
-                "equality": rep.equality,
-                "multipile": is_multipile(obj).verdict,
-                "hidden_partitions": [sorted(h) for h in stats.hidden],
-            }
-    except KellerpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    obj = _input(detect_and_load, args.path)
+    if isinstance(obj, TorusTiling):
+        if not validate_tiling(obj):
+            raise InvalidTilingError(f"invalid tiling, defect {find_defect(obj)}")
+        params = p_params(obj)
+        G = to_box_family(obj)
+        stats = c_stats(G)
+        report = theorem_c_report(obj) if obj.spec.is_uniform() else None
+        payload = {
+            "p_per_axis": [sorted(v) for v in params.per_axis],
+            "p_total": params.total,
+            "bound": report.bound if report else None,
+            "c_per_axis": list(stats.c_per_axis),
+            "c_total": stats.c_total,
+            "size": len(G),
+            "equality": report.equality if report else None,
+            "multipile": is_multipile(G).verdict,
+            "hidden_partitions": [sorted(h) for h in stats.hidden],
+        }
+    else:
+        stats = c_stats(obj)  # raises NotKellerError for a non-Keller family
+        rep = theorem_b_report(obj)
+        payload = {
+            "c_per_axis": list(stats.c_per_axis),
+            "c_total": stats.c_total,
+            "size": rep.size,
+            "equality": rep.equality,
+            "multipile": is_multipile(obj).verdict,
+            "hidden_partitions": [sorted(h) for h in stats.hidden],
+        }
     _emit(args, payload)
     if args.expect_equality and not payload.get("equality"):
         return EXIT_PROPERTY
@@ -164,19 +181,11 @@ def _parse_spec(args) -> TorusSpec:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        spec = _parse_spec(args)
-        tilings = enumerate_tilings(
-            spec, _symmetry(args), jobs=args.jobs, budget=args.budget
-        )
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, KellerpackError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _input(_parse_spec, args)
+    symmetry = _input(_symmetry, args)
+    tilings = enumerate_tilings(spec, symmetry, jobs=args.jobs, budget=args.budget)
     if args.dump:
-        with open(args.dump, "w") as fh:
+        with _input(open, args.dump, "w") as fh:
             for t in tilings:
                 fh.write(json.dumps(tiling_to_obj(t)) + "\n")
     _emit(args, {"count": len(tilings)})
@@ -184,19 +193,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    try:
-        spec = _parse_spec(args)
-        symmetry = _symmetry(args)
-        row = census(spec, symmetry, jobs=args.jobs, budget=args.budget)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except TheoremViolationError as exc:
-        print(f"theorem violation (library bug): {exc}", file=sys.stderr)
-        return EXIT_THEOREM
-    except (ValueError, KellerpackError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _input(_parse_spec, args)
+    symmetry = _input(_symmetry, args)
+    row = census(spec, symmetry, jobs=args.jobs, budget=args.budget)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(
@@ -243,23 +242,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build_multipile(args) -> int:
-    try:
-        obj = load_json(args.path)
-        system = system_from_obj(obj["system"])
-        tree = tree_from_obj(obj["tree"], system)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        from .multipiles import build_multipile
-
-        G = build_multipile(system, tree)
-    except KellerpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    system, tree = _input(_load_tree, args.path)
+    G = build_multipile(system, tree)
     out = family_to_obj(G)
     if args.out:
-        dump_json(out, args.out)
+        _input(dump_json, out, args.out)
         _emit(args, {"size": len(G), "written": args.out})
     else:
         json.dump(out, sys.stdout, indent=2)
@@ -268,37 +255,27 @@ def cmd_build_multipile(args) -> int:
 
 
 def cmd_hat_check(args) -> int:
-    try:
-        obj = detect_and_load(args.path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if isinstance(obj, TorusTiling):
-        if not validate_tiling(obj):
-            print("error: invalid tiling", file=sys.stderr)
-            return EXIT_PROPERTY
-        G = to_box_family(obj)
-    else:
-        G = obj
-    try:
-        violations = []
-        from itertools import combinations
-
-        for K, L in combinations(G.boxes, 2):
-            if hats_disjoint(hat(G.system, K), hat(G.system, L)) != keller_pair(K, L):
-                violations.append([G.boxes.index(K), G.boxes.index(L)])
-        report = verify_box_count(G)
-        payload = {
+    G = _input(detect_and_load, args.path)
+    if isinstance(G, TorusTiling):
+        if not validate_tiling(G):
+            raise InvalidTilingError("invalid tiling")
+        G = to_box_family(G)
+    violations = [
+        [i, j]
+        for (i, K), (j, L) in combinations(enumerate(G.boxes), 2)
+        if hats_disjoint(K, L) != keller_pair(K, L)
+    ]
+    report = verify_box_count(G)
+    _emit(
+        args,
+        {
             "gamma1_violations": violations,
             "measure_sum": fraction_str(report.measure_sum),
             "box_count": len(G),
             "implied_size": report.implied_size,
             "holds": report.holds,
-        }
-    except KellerpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    _emit(args, payload)
+        },
+    )
     return EXIT_OK if not violations and report.holds else EXIT_PROPERTY
 
 
@@ -362,16 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_INPUT
+    """Run one command and map what it raised to its exit code; this is the
+    only place exit codes for failures are chosen."""
     try:
+        # the --budget default reads KELLERPACK_CELL_BUDGET
+        args = _input(build_parser).parse_args(argv)
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except TheoremViolationError as exc:
+        print(f"theorem violation (library bug): {exc}", file=sys.stderr)
+        return EXIT_THEOREM
+    except KellerpackError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .boxes import (
-    BlockRef,
     Box,
     BoxFamily,
     realize,
@@ -28,40 +27,8 @@ from .errors import (
     PreconditionError,
     SystemMismatchError,
 )
-from .partitions import PartitionSystem
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
-
-
-@dataclass(frozen=True)
-class HatBox:
-    """Per-axis factors: None is free, a BlockRef pins one partition's
-    coordinate to one block.  Trivial-partition coordinates never appear
-    (they are constant and carry no information)."""
-
-    system: PartitionSystem
-    factors: tuple[Optional[BlockRef], ...]
-
-
-def hat(system: PartitionSystem, K: Box) -> HatBox:
-    if K.system != system:
-        raise SystemMismatchError("box from a different system")
-    return HatBox(system, K.factors)
-
-
-def hats_disjoint(a: HatBox, b: HatBox) -> bool:
-    """True iff some axis pins the same partition to different blocks."""
-    if a.system != b.system:
-        raise SystemMismatchError("hats from different systems")
-    for fa, fb in zip(a.factors, b.factors):
-        if (
-            fa is not None
-            and fb is not None
-            and fa.partition == fb.partition
-            and fa.block != fb.block
-        ):
-            return True
-    return False
 
 
 def hat_measure(K: Box) -> Fraction:
@@ -73,13 +40,12 @@ def hat_measure(K: Box) -> Fraction:
     return m
 
 
-def _pinned_coordinates(families: Sequence[BoxFamily]) -> list[tuple[int, int]]:
+def _pinned_coordinates(boxes: Iterable[Box]) -> list[tuple[int, int]]:
     coords = set()
-    for G in families:
-        for K in G.boxes:
-            for axis, f in enumerate(K.factors):
-                if f is not None:
-                    coords.add((axis, f.partition))
+    for K in boxes:
+        for axis, f in enumerate(K.factors):
+            if f is not None:
+                coords.add((axis, f.partition))
     return sorted(coords)
 
 
@@ -96,6 +62,28 @@ def _hat_over(
         else:
             out.append(tuple(range(K.system.partition(axis, p).n_blocks)))
     return tuple(out)
+
+
+def _meet_size(a, b) -> int:
+    """Size of the intersection of two restricted hats: the product over
+    the coordinates of the sizes of their allowed-block intersections."""
+    v = 1
+    for ca, cb in zip(a, b):
+        v *= len(set(ca) & set(cb))
+        if v == 0:
+            break
+    return v
+
+
+def hats_disjoint(K: Box, L: Box) -> bool:
+    """Whether the hats of two boxes are disjoint, counted in the product
+    over the coordinates either box pins.
+
+    This is computed independently of keller_pair, which it must match."""
+    if K.system != L.system:
+        raise SystemMismatchError("boxes from different systems")
+    coords = _pinned_coordinates((K, L))
+    return _meet_size(_hat_over(K, coords), _hat_over(L, coords)) == 0
 
 
 def _union_size_counting(
@@ -117,15 +105,7 @@ def _union_size_counting(
 
     u1 = sum(size(h) for h in h1)
     u2 = sum(size(h) for h in h2)
-    cross = 0
-    for a in h1:
-        for b in h2:
-            v = 1
-            for ca, cb in zip(a, b):
-                v *= len(set(ca) & set(cb))
-                if v == 0:
-                    break
-            cross += v
+    cross = sum(_meet_size(a, b) for a in h1 for b in h2)
     return u1, u2, u1 + u2 - cross
 
 
@@ -152,7 +132,7 @@ def suits_equivalent(
         raise SystemMismatchError("families from different systems")
     require_keller(G1)
     require_keller(G2)
-    coords = _pinned_coordinates([G1, G2])
+    coords = _pinned_coordinates(G1.boxes + G2.boxes)
     total = 1
     for axis, p in coords:
         total *= G1.system.partition(axis, p).n_blocks

@@ -15,7 +15,8 @@ from .boxes import (
     BlockRef,
     Box,
     BoxFamily,
-    _family_shadow,
+    CStats,
+    blocks_share_shadow,
     c_stats,
     is_pile,
     require_keller,
@@ -95,23 +96,25 @@ def _recognize(
             child_stats.append(c_stats(sub))
         if not ok:
             continue
-        if _hidden_sets_disjoint(child_stats, axis):
+        if _hidden_clash(child_stats, axis) is None:
             result = MultipileResult(True, Node(axis, p, tuple(children)))
             break
     memo[key] = result
     return result
 
 
-def _hidden_sets_disjoint(child_stats, axis: int) -> bool:
+def _hidden_clash(child_stats: Sequence[CStats], axis: int) -> Optional[int]:
+    """The first axis other than `axis` on which two children hide the same
+    partition, or None when their hidden sets are pairwise disjoint."""
     for k in range(len(child_stats[0].hidden)):
         if k == axis:
             continue
         seen: set[int] = set()
         for st in child_stats:
             if seen & st.hidden[k]:
-                return False
+                return k
             seen |= st.hidden[k]
-    return True
+    return None
 
 
 def is_multipile(
@@ -152,27 +155,18 @@ def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
             K.with_factor(tree.axis, BlockRef(tree.partition, b)) for K in sub.boxes
         )
         child_families.append(BoxFamily(system, boxes))
-    shadows = [_family_shadow(fam, tree.axis) for fam in child_families]
-    if any(s != shadows[0] for s in shadows[1:]):
+    # boxes under different blocks differ on tree.axis: no duplicates here
+    G = BoxFamily(system, tuple(K for fam in child_families for K in fam.boxes))
+    if not blocks_share_shadow(G, tree.axis, tree.partition):
         raise IllFormedTreeError(
             "sibling subtrees realize different shadows; the node is not a pile"
         )
-    for k in range(system.dimension):
-        if k == tree.axis:
-            continue
-        seen: set[int] = set()
-        for fam in child_families:
-            hid = c_stats(fam).hidden[k]
-            if seen & hid:
-                raise DisjointnessError(
-                    f"sibling subtrees both hide a partition on axis {k}"
-                )
-            seen |= hid
-    all_boxes = tuple(K for fam in child_families for K in fam.boxes)
-    try:
-        return BoxFamily(system, all_boxes)
-    except Exception as exc:
-        raise IllFormedTreeError(str(exc)) from exc
+    clash = _hidden_clash([c_stats(fam) for fam in child_families], tree.axis)
+    if clash is not None:
+        raise DisjointnessError(
+            f"sibling subtrees both hide a partition on axis {clash}"
+        )
+    return G
 
 
 def build_multipile(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:

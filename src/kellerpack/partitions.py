@@ -190,7 +190,10 @@ class PartitionSystem:
         )
 
     def partition(self, axis: int, p: int) -> Partition:
-        return self.families[axis][p]
+        # checked, because a negative index would pick another partition
+        if 0 <= axis < len(self.families) and 0 <= p < len(self.families[axis]):
+            return self.families[axis][p]
+        raise IndexError(f"no partition {p} on axis {axis}")
 
     def nontrivial_indices(self, axis: int) -> tuple[int, ...]:
         return tuple(

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -36,6 +37,57 @@ def run(capsys, argv):
     return code, out
 
 
+def tiling_obj():
+    return tiling_to_obj(LAMINATED)
+
+
+def family_obj():
+    return family_to_obj(to_box_family(LAMINATED))
+
+
+def tree_obj():
+    system = tiling_system(SPEC)
+    leaf = Leaf(Box(system, (None, None)))
+    tree = Node(0, 0, (Node(1, 0, (leaf, leaf)), Node(1, 1, (leaf, leaf))))
+    return {"system": system_to_obj(system), "tree": tree_to_obj(tree)}
+
+
+def edited(obj, edit):
+    edit(obj)
+    return obj
+
+
+FILE_COMMANDS = ["validate", "analyze", "hat-check", "build-multipile"]
+
+# each is malformed input for every command that reads a file: a tiling or
+# family file is also malformed input for build-multipile
+MALFORMED = {
+    "not-json": "{not json",
+    "starts-not-a-list": {**tiling_obj(), "starts": 5},
+    "start-wrong-dimension": {**tiling_obj(), "starts": [[0]]},
+    "start-outside-grid": {**tiling_obj(), "starts": [[9, 9], [0, 2], [2, 1], [2, 3]]},
+    "partition-out-of-range": edited(
+        family_obj(), lambda o: o["boxes"][0].__setitem__(0, {"p": 5, "b": 0})
+    ),
+    "negative-partition": edited(
+        family_obj(), lambda o: o["boxes"][0].__setitem__(0, {"p": -1, "b": 0})
+    ),
+    "duplicate-box": edited(
+        family_obj(), lambda o: o["boxes"].__setitem__(1, o["boxes"][0])
+    ),
+    "tree-without-system": edited(tree_obj(), lambda o: o.pop("system")),
+    "tree-child-missing": edited(
+        tree_obj(), lambda o: o["tree"]["children"].pop("0")
+    ),
+}
+
+
+def assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 class TestValidate:
     def test_valid_tiling(self, tmp_path, capsys):
         path = write(tmp_path, "t.json", tiling_to_obj(LAMINATED))
@@ -58,11 +110,16 @@ class TestValidate:
         code, out = run(capsys, ["validate", path])
         assert code == 0 and json.loads(out)["valid"] is True
 
-    def test_malformed_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input(self, tmp_path, capsys, case, command):
+        obj = MALFORMED[case]
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        code, _ = run(capsys, ["validate", str(path)])
-        assert code == 2
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert_input_error(code, captured.err)
+        assert captured.out == ""
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, ["validate", "/nonexistent/nope.json"])
@@ -155,16 +212,21 @@ def test_jobs_below_one_is_input_error(capsys, argv, jobs):
     assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+def test_unwritable_dump_is_input_error(tmp_path, capsys):
+    dump = tmp_path / "missing-dir" / "tilings.jsonl"
+    code = main(["enumerate", "--m", "2,2", "--q", "2,2", "--dump", str(dump)])
+    assert_input_error(code, capsys.readouterr().err)
+
+
+def test_bad_budget_environment_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("KELLERPACK_CELL_BUDGET", "lots")
+    code = main(["census", "--m", "2,2", "--q", "2,2"])
+    assert_input_error(code, capsys.readouterr().err)
+
+
 class TestBuildMultipile:
     def test_build(self, tmp_path, capsys):
-        system = tiling_system(SPEC)
-        leaf = Leaf(Box(system, (None, None)))
-        tree = Node(0, 0, (Node(1, 0, (leaf, leaf)), Node(1, 1, (leaf, leaf))))
-        path = write(
-            tmp_path,
-            "tree.json",
-            {"system": system_to_obj(system), "tree": tree_to_obj(tree)},
-        )
+        path = write(tmp_path, "tree.json", tree_obj())
         out_path = tmp_path / "family.json"
         code, out = run(capsys, ["build-multipile", path, "--out", str(out_path)])
         assert code == 0
@@ -201,3 +263,61 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- fuzzing the input boundary ------------------------------------------
+
+OTHER_TYPE = [None, True, 7, 2.5, "x", [], {}, [[0, 1]], {"p": 0}]
+
+
+def _nodes(obj, path=()):
+    """(path, value) for every value nested in obj, obj itself excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _mutant(rng, obj):
+    """A copy of obj with one edit: a key or item deleted, a value replaced
+    by one of another type, or an integer pushed out of range."""
+    obj = json.loads(json.dumps(obj))
+    nodes = list(_nodes(obj))
+    ints = [(p, v) for p, v in nodes if type(v) is int]
+    kind = rng.choice(["delete", "retype", "range"])
+    path, value = rng.choice(ints if kind == "range" else nodes)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = rng.choice([v for v in OTHER_TYPE if type(v) is not type(value)])
+    else:
+        # at most 40: validate and analyze walk all q**d cells of a cube
+        # with no cell budget, so a huge resolution stalls rather than fails
+        parent[path[-1]] = rng.choice([-1, value + 1, value + 3, 40])
+    return obj
+
+
+FUZZ_FIXTURES = [
+    (tiling_obj, ["validate", "analyze", "hat-check"]),
+    (family_obj, ["validate", "analyze", "hat-check"]),
+    (tree_obj, ["build-multipile"]),
+]
+
+
+def test_fuzzed_input_never_escapes_the_boundary(tmp_path, capsys):
+    rng = random.Random(0)
+    path = tmp_path / "mutant.json"
+    for _ in range(100):
+        for fixture, commands in FUZZ_FIXTURES:
+            mutant = _mutant(rng, fixture())
+            path.write_text(json.dumps(mutant))
+            for command in commands:
+                code = main([command, str(path)])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (command, mutant, err)
+                if code == 2:
+                    assert_input_error(code, err)

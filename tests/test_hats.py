@@ -13,7 +13,6 @@ from kellerpack import (
     TorusTiling,
     arc_system,
     elementary_aggregate,
-    hat,
     hat_measure,
     hats_disjoint,
     keller_pair,
@@ -55,25 +54,22 @@ class TestHatsDisjoint:
     def test_same_partition_different_blocks(self, sys222):
         K = Box(sys222, (BlockRef(0, 0), None))
         L = Box(sys222, (BlockRef(0, 1), None))
-        assert hats_disjoint(hat(sys222, K), hat(sys222, L))
+        assert hats_disjoint(K, L)
 
     def test_different_partitions_not_disjoint(self, sys222):
         K = Box(sys222, (BlockRef(0, 0), None))
         L = Box(sys222, (BlockRef(1, 0), None))
-        assert not hats_disjoint(hat(sys222, K), hat(sys222, L))
+        assert not hats_disjoint(K, L)
 
     def test_system_mismatch(self, sys222):
         other = arc_system(2, 2, 1)
         with pytest.raises(SystemMismatchError):
-            hats_disjoint(
-                hat(sys222, Box(sys222, (None, None))),
-                hat(other, Box(other, (None,))),
-            )
+            hats_disjoint(Box(sys222, (None, None)), Box(other, (None,)))
 
     def test_mirrors_keller_exhaustive(self, sys222):
         boxes = _all_boxes(sys222)
         for K, L in combinations(boxes, 2):
-            assert hats_disjoint(hat(sys222, K), hat(sys222, L)) == keller_pair(K, L)
+            assert hats_disjoint(K, L) == keller_pair(K, L)
 
     def test_mirrors_keller_randomized(self):
         rng = random.Random(11)
@@ -83,7 +79,7 @@ class TestHatsDisjoint:
             if G is None or len(G) < 2:
                 continue
             for K, L in combinations(G.boxes, 2):
-                assert hats_disjoint(hat(system, K), hat(system, L))
+                assert hats_disjoint(K, L)
 
 
 def _all_boxes(system):
@@ -159,7 +155,7 @@ class TestSuitsEquivalent:
     def test_counting_sizes_match_materialized(self, sys222):
         G1 = grid_family(sys222)
         G2 = laminated_family(sys222)
-        coords = _pinned_coordinates([G1, G2])
+        coords = _pinned_coordinates(G1.boxes + G2.boxes)
         u1 = _union_materialized(G1, coords)
         u2 = _union_materialized(G2, coords)
         assert _union_size_counting(G1, G2, coords) == (
