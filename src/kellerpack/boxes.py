@@ -25,7 +25,7 @@ from .errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
-from .partitions import Partition, PartitionSystem, elems_of
+from .partitions import Partition, PartitionSystem
 
 
 class BlockRef(NamedTuple):
@@ -90,6 +90,15 @@ class Box:
         return v
 
 
+def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides: point (x_1..x_d) has index sum x_a * stride_a,
+    axis 0 being the most significant coordinate."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return tuple(strides)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Subset of X = X_1 x ... x X_d as a bit vector, row-major (axis 0 is
@@ -100,10 +109,7 @@ class PointSet:
 
     @property
     def strides(self) -> tuple[int, ...]:
-        strides = [1] * len(self.sizes)
-        for i in range(len(self.sizes) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.sizes[i + 1]
-        return tuple(strides)
+        return row_major_strides(self.sizes)
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -126,7 +132,7 @@ class PointSet:
 
 def line_mask(sizes: Sequence[int], point: Sequence[int], axis: int) -> int:
     """Bit mask of the full axis line through `point`."""
-    strides = PointSet(tuple(sizes), 0).strides
+    strides = row_major_strides(sizes)
     base = sum(
         (0 if i == axis else x) * s for i, (x, s) in enumerate(zip(point, strides))
     )
@@ -215,8 +221,7 @@ def require_keller(G: BoxFamily) -> None:
 
 def realize_box(K: Box) -> PointSet:
     sizes = K.system.axis_sizes
-    ps = PointSet(sizes, 0)
-    strides = ps.strides
+    strides = row_major_strides(sizes)
     bits = 0
     for point in product(*(K.factor_elems(a) for a in range(len(sizes)))):
         bits |= 1 << sum(x * s for x, s in zip(point, strides))

@@ -19,28 +19,33 @@ shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
 axes; a full start-by-start translation table would grow with the square
 of the cell count.  translate, permute_axes and reflect remain as the
 object-level reference the tests check the tables against.
+
+A census folds one pass over the canonical tilings, the same for uniform
+and mixed sides: p(T) and the multipile verdict per tiling, against the
+lamination value of the descending side ordering, which for equal sides
+is the proved bound (n^d - 1)/(n - 1).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
+from .boxes import row_major_strides
 from .errors import (
     BudgetExceededError,
     InvalidTilingError,
     TheoremViolationError,
 )
-from .multipiles import extremal_p_value
+from .multipiles import extremal_p_value, is_multipile
 from .torus import (
     TorusSpec,
     TorusTiling,
+    cube_cells,
     p_params,
-    theorem_c_report,
     to_box_family,
     validate_tiling,
 )
@@ -100,21 +105,6 @@ def _axis_permutations(spec: TorusSpec) -> list[tuple[int, ...]]:
     ]
 
 
-def _reflection_subsets(d: int) -> list[tuple[int, ...]]:
-    out = []
-    for bits in range(1 << d):
-        out.append(tuple(i for i in range(d) if bits >> i & 1))
-    return out
-
-
-def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major strides: cell (x_1..x_d) has index sum x_a * stride_a."""
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return tuple(strides)
-
-
 @lru_cache(maxsize=16)
 def _group(spec: TorusSpec, permute: bool, reflections: bool):
     """Index tables for the symmetry group of `spec`.
@@ -128,14 +118,13 @@ def _group(spec: TorusSpec, permute: bool, reflections: bool):
     """
     d = spec.dimension
     sizes = spec.cell_sizes
-    strides = _strides(sizes)
+    strides = row_major_strides(sizes)
     coords = list(product(*(range(n) for n in sizes)))
     perms = _axis_permutations(spec) if permute else [tuple(range(d))]
-    refls = _reflection_subsets(d) if reflections else [()]
+    flips = list(product((False, True), repeat=d)) if reflections else [(False,) * d]
     images = []
     for sigma in perms:
-        for axes in refls:
-            flip = [a in axes for a in range(d)]
+        for flip in flips:
             images.append(tuple(
                 sum(
                     ((-c[sigma[a]] - spec.q[a]) % sizes[a] if flip[a] else c[sigma[a]])
@@ -215,23 +204,12 @@ def orbit(
 def _tables(spec: TorusSpec):
     """Per-spec placement tables: cube masks for every start and, per
     cell, the placements covering that cell."""
-    sizes = spec.cell_sizes
-    strides = _strides(sizes)
-
-    def cell_index(cell):
-        return sum(x * st for x, st in zip(cell, strides))
-
-    all_starts = list(product(*(range(s) for s in sizes)))
+    strides = row_major_strides(spec.cell_sizes)
     masks = {}
-    for s in all_starts:
+    for s in product(*(range(n) for n in spec.cell_sizes)):
         bits = 0
-        for cell in product(
-            *(
-                [(v + r) % size for r in range(q)]
-                for v, q, size in zip(s, spec.q, sizes)
-            )
-        ):
-            bits |= 1 << cell_index(cell)
+        for cell in cube_cells(spec, s):
+            bits |= 1 << sum(x * st for x, st in zip(cell, strides))
         masks[s] = bits
     n_cells = spec.n_cells
     cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
@@ -270,12 +248,12 @@ def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list
 
     This is the slow oracle the reduced enumerator is checked against.
     """
-    _check_budget(spec, budget)
+    check_budget(spec, budget)
     found = [TorusTiling(spec, placed) for placed in _search(spec, 0, ())]
     return sorted(found, key=lambda t: t.starts)
 
 
-def _check_budget(spec: TorusSpec, budget: Optional[int]) -> None:
+def check_budget(spec: TorusSpec, budget: Optional[int]) -> None:
     limit = budget if budget is not None else default_cell_budget()
     if spec.n_cells > limit:
         raise BudgetExceededError(
@@ -285,19 +263,16 @@ def _check_budget(spec: TorusSpec, budget: Optional[int]) -> None:
 
 def _origin_branches(spec: TorusSpec):
     """Search prefixes after forcing the cube at the origin, split at the
-    next branching cell for parallel subtree tasks."""
-    n_cells, masks, cands = _tables(spec)
-    origin = tuple([0] * spec.dimension)
+    next branching cell for parallel subtree tasks.  Every side is at
+    least 2, so the origin cube never covers the whole grid."""
+    _, masks, cands = _tables(spec)
+    origin = (0,) * spec.dimension
     covered = masks[origin]
-    full = (1 << n_cells) - 1
-    if covered == full:
-        return [(covered, (origin,))], True
-    cell = _lowest_zero(covered)
-    branches = []
-    for s, bits in cands[cell]:
-        if not bits & covered:
-            branches.append((covered | bits, (origin, s)))
-    return branches, False
+    return [
+        (covered | bits, (origin, s))
+        for s, bits in cands[_lowest_zero(covered)]
+        if not bits & covered
+    ]
 
 
 def _run_branch(args) -> list[tuple[tuple[int, ...], ...]]:
@@ -323,13 +298,19 @@ def enumerate_tilings(
     may run on a process pool; the merged result does not depend on the
     worker count.
     """
-    _check_budget(spec, budget)
+    check_budget(spec, budget)
     if "translate" in symmetry:
-        branches, _ = _origin_branches(spec)
-        tasks = [(spec, covered, placed, symmetry) for covered, placed in branches]
+        tasks = [
+            (spec, covered, placed, symmetry)
+            for covered, placed in _origin_branches(spec)
+        ]
     else:
         tasks = [(spec, 0, (), symmetry)]
     if jobs > 1 and len(tasks) > 1:
+        # imported only here: the process-pool machinery adds about 2 MB
+        # to every process that imports it, and only a parallel run needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_branch, tasks, chunksize=1))
     else:
@@ -350,7 +331,7 @@ class CensusRow:
     tilings_total: int
     p_histogram: dict[int, int]
     max_p: int
-    bound: Optional[int]
+    bound: int
     equality_count: int
     multipile_count: int
     conjectural: bool
@@ -374,51 +355,36 @@ def census_from_tilings(
     symmetry: frozenset[str],
     tilings: list[TorusTiling],
 ) -> CensusRow:
-    """Fold the tight-bound report over a list of canonical tilings of
-    `spec`, one per orbit under `symmetry`.
+    """Fold p(T) and the multipile verdict over a list of canonical
+    tilings of `spec`, one per orbit under `symmetry`.
 
-    For uniform side lengths the proved bound is asserted and any
-    violation aborts loudly.  For mixed side lengths the bound is only
-    conjectural: the observed maximum is reported against the lamination
-    value for the descending side ordering, with the multipile verdict of
+    The bound is the lamination value for the descending side ordering,
+    which for equal sides n is the proved (n^d - 1)/(n - 1).  For uniform
+    sides the bound and its equality case are asserted and any violation
+    aborts loudly; for mixed sides the bound is only conjectural, so the
+    observed maximum is reported against it, with the multipile verdict of
     every attaining tiling recorded, and nothing is asserted.
     """
     uniform = spec.is_uniform()
-    if uniform:
-        n = spec.m[0]
-        bound: Optional[int] = (n ** spec.dimension - 1) // (n - 1)
-    else:
-        desc = sorted(range(spec.dimension), key=lambda i: -spec.m[i])
-        bound = extremal_p_value(spec.m, desc)
+    bound = extremal_p_value(
+        spec.m, sorted(range(spec.dimension), key=lambda i: -spec.m[i])
+    )
     hist: dict[int, int] = {}
     equality_count = 0
     multipile_count = 0
     attaining: list[bool] = []
-    max_p = 0
     for t in tilings:
-        if uniform:
-            report = theorem_c_report(t)
-            if not report.holds:
-                raise TheoremViolationError(
-                    f"tiling {t.starts} exceeds the proved bound"
-                )
-            if report.equality != report.is_multipile:
-                raise TheoremViolationError(
-                    f"equality/multipile mismatch on {t.starts}"
-                )
-            p_total, mp = report.p_total, report.is_multipile
-        else:
-            from .multipiles import is_multipile
-
-            p_total = p_params(t).total
-            mp = is_multipile(to_box_family(t)).verdict
+        p_total = p_params(t).total
+        mp = is_multipile(to_box_family(t)).verdict
+        if uniform and p_total > bound:
+            raise TheoremViolationError(f"tiling {t.starts} exceeds the proved bound")
+        if uniform and (p_total == bound) != mp:
+            raise TheoremViolationError(f"equality/multipile mismatch on {t.starts}")
         hist[p_total] = hist.get(p_total, 0) + 1
-        max_p = max(max_p, p_total)
         if p_total == bound:
             equality_count += 1
             attaining.append(mp)
-        if mp:
-            multipile_count += 1
+        multipile_count += mp
     if uniform and equality_count != multipile_count:
         raise TheoremViolationError("equality count differs from multipile count")
     return CensusRow(
@@ -427,7 +393,7 @@ def census_from_tilings(
         symmetry=tuple(sorted(symmetry)),
         tilings_total=len(tilings),
         p_histogram=dict(sorted(hist.items())),
-        max_p=max_p,
+        max_p=max(hist, default=0),
         bound=bound,
         equality_count=equality_count,
         multipile_count=multipile_count,

@@ -29,7 +29,13 @@ from .boxes import (
     keller_pair,
     theorem_b_report,
 )
-from .census import ALL_SYMMETRIES, census, default_cell_budget, enumerate_tilings
+from .census import (
+    ALL_SYMMETRIES,
+    census,
+    check_budget,
+    default_cell_budget,
+    enumerate_tilings,
+)
 from .errors import (
     BudgetExceededError,
     InvalidTilingError,
@@ -112,6 +118,16 @@ def _symmetry(args) -> frozenset[str]:
     return frozenset() if flags == {"none"} else flags
 
 
+def _load(path: str):
+    """Read a tiling or box-family file.  A tiling whose grid exceeds the
+    cell budget raises BudgetExceededError before any cell is walked; it
+    is raised outside _input, as it is no input error."""
+    obj = _input(detect_and_load, path)
+    if isinstance(obj, TorusTiling):
+        check_budget(obj.spec, None)
+    return obj
+
+
 def _load_tree(path: str):
     obj = load_json(path)
     system = system_from_obj(obj["system"])
@@ -119,7 +135,7 @@ def _load_tree(path: str):
 
 
 def cmd_validate(args) -> int:
-    obj = _input(detect_and_load, args.path)
+    obj = _load(args.path)
     if isinstance(obj, TorusTiling):
         if validate_tiling(obj):
             _emit(args, {"valid": True})
@@ -132,7 +148,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    obj = _input(detect_and_load, args.path)
+    obj = _load(args.path)
     if isinstance(obj, TorusTiling):
         if not validate_tiling(obj):
             raise InvalidTilingError(f"invalid tiling, defect {find_defect(obj)}")
@@ -255,7 +271,7 @@ def cmd_build_multipile(args) -> int:
 
 
 def cmd_hat_check(args) -> int:
-    G = _input(detect_and_load, args.path)
+    G = _load(args.path)
     if isinstance(G, TorusTiling):
         if not validate_tiling(G):
             raise InvalidTilingError("invalid tiling")
@@ -346,6 +362,9 @@ def main(argv=None) -> int:
         args = _input(build_parser).parse_args(argv)
         if args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        # only enumerate and census take --budget
+        if getattr(args, "budget", 1) < 1:
+            raise InputError(f"--budget must be at least 1, got {args.budget}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,16 +165,14 @@ class TheoremCReport:
 
 def theorem_c_report(t: TorusTiling) -> TheoremCReport:
     """p(T) against (n^d - 1)/(n - 1) for a uniform torus, with the
-    equality case cross-checked against the multipile recognizer."""
+    equality case cross-checked against the multipile recognizer.  With
+    equal sides the bound is the lamination value 1 + n + ... + n^(d-1)."""
     if not t.spec.is_uniform():
         raise NonUniformTorusError(
             "the bound is proved for uniform side lengths only; "
             "use the census's conjectural reporting for mixed sides"
         )
-    require_valid(t)
-    n = t.spec.m[0]
-    d = t.spec.dimension
-    bound = (n**d - 1) // (n - 1)
+    bound = extremal_p_value(t.spec.m, range(t.spec.dimension))
     params = p_params(t)
     verdict = is_multipile(to_box_family(t)).verdict
     return TheoremCReport(

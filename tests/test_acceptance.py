@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from kellerpack import acceptance
 from kellerpack.acceptance import CRITERIA, run_all
 
 
@@ -22,3 +23,20 @@ def results():
 def test_criterion(results, index):
     res = results[index]
     assert res.passed, f"criterion {index + 1} ({res.name}): {res.detail}"
+
+
+def test_cell_budget_environment_skips_no_grid(monkeypatch):
+    # the suite enumerates with an explicit budget; clear the caches so
+    # that the grids are enumerated under the small environment budget
+    monkeypatch.setenv("KELLERPACK_CELL_BUDGET", "100")
+    caches = (acceptance._tilings, acceptance._census)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        result = acceptance.criterion_3_tight_bound_3x3()
+        assert result.passed
+        assert "q=(9,9) max_p=4" in result.detail
+        assert sum(1 for _ in acceptance._census_families()) == 72
+    finally:
+        for cache in caches:
+            cache.cache_clear()

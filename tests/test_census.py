@@ -181,7 +181,30 @@ class TestSlowPathEquivalence:
         assert brute == expanded
 
 
+# full census rows under the whole symmetry group: (m, q, total,
+# p histogram, max_p, bound, equality count, multipile count, attaining)
+GOLDEN_ROWS = [
+    ((2, 3), (6, 6), 10, {2: 1, 3: 6, 4: 3}, 4, 4, 3, 6, (True, True, True)),
+    ((3, 3), (3, 3), 3, {2: 1, 3: 1, 4: 1}, 4, 4, 1, 1, (True,)),
+    ((2, 2), (4, 4), 3, {2: 1, 3: 2}, 3, 3, 2, 2, (True, True)),
+    ((2, 2, 2), (2, 2, 2), 9, {3: 1, 4: 3, 5: 4, 6: 1}, 6, 7, 0, 0, ()),
+]
+
+
 class TestCensus:
+    @pytest.mark.parametrize(
+        "m,q,total,hist,max_p,bound,equality,multipiles,attaining", GOLDEN_ROWS
+    )
+    def test_golden_row(
+        self, m, q, total, hist, max_p, bound, equality, multipiles, attaining
+    ):
+        row = census(TorusSpec(m, q))
+        assert (
+            row.tilings_total, row.p_histogram, row.max_p, row.bound,
+            row.equality_count, row.multipile_count, row.attaining_multipile,
+        ) == (total, hist, max_p, bound, equality, multipiles, attaining)
+        assert row.conjectural == (len(set(m)) > 1)
+
     def test_2x2(self):
         row = census(TorusSpec((2, 2), (2, 2)))
         assert row.tilings_total == 2

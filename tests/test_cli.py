@@ -212,6 +212,31 @@ def test_jobs_below_one_is_input_error(capsys, argv, jobs):
     assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("command", ["census", "enumerate"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_input_error(capsys, command, budget):
+    code = main([command, "--m", "2,2", "--q", "1,1", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "hat-check"])
+def test_tiling_over_the_cell_budget_exits_before_walking_cells(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.delenv("KELLERPACK_CELL_BUDGET", raising=False)
+    # 9,000,000 cells: walking them takes seconds and hundreds of MB
+    huge = {"m": [2, 2], "q": [1500, 1500], "starts": [[0, 0]]}
+    path = write(tmp_path, "huge.json", huge)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: 9000000 cells exceed the budget of 1024\n"
+
+
 def test_unwritable_dump_is_input_error(tmp_path, capsys):
     dump = tmp_path / "missing-dir" / "tilings.jsonl"
     code = main(["enumerate", "--m", "2,2", "--q", "2,2", "--dump", str(dump)])
@@ -295,8 +320,8 @@ def _mutant(rng, obj):
     elif kind == "retype":
         parent[path[-1]] = rng.choice([v for v in OTHER_TYPE if type(v) is not type(value)])
     else:
-        # at most 40: validate and analyze walk all q**d cells of a cube
-        # with no cell budget, so a huge resolution stalls rather than fails
+        # at most 40, so that every mutant grid stays within the default
+        # cell budget and is walked rather than refused with exit 3
         parent[path[-1]] = rng.choice([-1, value + 1, value + 3, 40])
     return obj
 
