@@ -330,9 +330,13 @@ def criterion_9_slow_path_equivalence() -> CriterionResult:
     ]
     for spec in specs:
         assert spec.n_cells <= 64
-        brute = Counter(t.starts for t in enumerate_all_tilings(spec))
+        # explicit budgets, as in _tilings, so that KELLERPACK_CELL_BUDGET
+        # cannot abort the comparison
+        brute = Counter(
+            t.starts for t in enumerate_all_tilings(spec, budget=DEFAULT_CELL_BUDGET)
+        )
         expanded: Counter = Counter()
-        for t in enumerate_tilings(spec):
+        for t in enumerate_tilings(spec, budget=DEFAULT_CELL_BUDGET):
             for x in orbit(t):
                 expanded[x.starts] += 1
         if brute != expanded:

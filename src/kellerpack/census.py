@@ -2,7 +2,7 @@
 
 The search is an exact-cover backtracker over the cell grid: always place
 a cube covering the lexicographically least uncovered cell.  Cover state
-is one big int; candidate placements per cell are precomputed masks, so
+is one big int; placements are precomputed masks under their lowest cell, so
 the inner loop is a bit test.  Symmetry reduction canonicalizes each found
 tiling (translations, axis permutations among equal axes, per-axis
 reflections) and keeps one orbit representative; with translations
@@ -56,7 +56,10 @@ DEFAULT_CELL_BUDGET = 1024
 
 def default_cell_budget() -> int:
     env = os.environ.get("KELLERPACK_CELL_BUDGET")
-    return int(env) if env else DEFAULT_CELL_BUDGET
+    budget = int(env) if env else DEFAULT_CELL_BUDGET
+    if budget < 1:
+        raise ValueError(f"KELLERPACK_CELL_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 # --- symmetry action ----------------------------------------------------
@@ -202,8 +205,9 @@ def orbit(
 
 @lru_cache(maxsize=16)
 def _tables(spec: TorusSpec):
-    """Per-spec placement tables: cube masks for every start and, per
-    cell, the placements covering that cell."""
+    """Per-spec placement tables: cube masks for every start and, per cell,
+    the placements whose lowest cell it is: the search branches on the lowest
+    uncovered cell, so a cube reaching below it would overlap the cover."""
     strides = row_major_strides(spec.cell_sizes)
     masks = {}
     for s in product(*(range(n) for n in spec.cell_sizes)):
@@ -214,11 +218,7 @@ def _tables(spec: TorusSpec):
     n_cells = spec.n_cells
     cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
     for s, bits in masks.items():
-        m = bits
-        while m:
-            low = m & -m
-            cands[low.bit_length() - 1].append((s, bits))
-            m ^= low
+        cands[(bits & -bits).bit_length() - 1].append((s, bits))
     return n_cells, masks, cands
 
 

@@ -9,6 +9,7 @@ cyclically.  All arithmetic is integer; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ class TorusSpec:
     def dimension(self) -> int:
         return len(self.m)
 
-    @property
+    @cached_property
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(m * q for m, q in zip(self.m, self.q))
 
@@ -65,15 +66,21 @@ class TorusTiling:
     starts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(tuple(s) for s in self.starts))
+        canon = tuple(sorted(map(tuple, self.starts)))
         if canon != self.starts:
             object.__setattr__(self, "starts", canon)
         sizes = self.spec.cell_sizes
-        for s in self.starts:
-            if len(s) != self.spec.dimension:
-                raise InvalidTilingError("start has wrong dimension")
-            if any(not 0 <= v < size for v, size in zip(s, sizes)):
-                raise InvalidTilingError(f"start {s} outside the torus grid")
+        # checked once per axis column; only a failure walks the starts,
+        # to name the first bad one in sorted order
+        if canon and (
+            set(map(len, canon)) != {len(sizes)}
+            or any(min(c) < 0 or max(c) >= n for c, n in zip(zip(*canon), sizes))
+        ):
+            for s in canon:
+                if len(s) != len(sizes):
+                    raise InvalidTilingError("start has wrong dimension")
+                if any(not 0 <= v < size for v, size in zip(s, sizes)):
+                    raise InvalidTilingError(f"start {s} outside the torus grid")
 
 
 def cube_cells(spec: TorusSpec, start: Sequence[int]):

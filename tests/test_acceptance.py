@@ -40,3 +40,11 @@ def test_cell_budget_environment_skips_no_grid(monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_small_cell_budget_environment_keeps_criterion_9(monkeypatch):
+    # its largest grid has 16 cells
+    monkeypatch.setenv("KELLERPACK_CELL_BUDGET", "10")
+    result = acceptance.criterion_9_slow_path_equivalence()
+    assert result.passed, result.detail
+    assert result.detail == "6 grids compared, 0 mismatches"

@@ -14,7 +14,7 @@ from kellerpack import (
     orbit,
     validate_tiling,
 )
-from kellerpack.census import permute_axes, reflect, translate
+from kellerpack.census import _search, _tables, permute_axes, reflect, translate
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
 
 
@@ -244,3 +244,56 @@ def test_every_search_result_covers_each_cell_once():
             seen.update(cube_cells(spec, s))
         assert set(seen) == set(product(*(range(v) for v in spec.cell_sizes)))
         assert set(seen.values()) == {1}
+
+
+def every_cell_search(spec):
+    """Reference DFS: the same branching as census._search, but over
+    candidate lists holding each placement under every cell it covers."""
+    n_cells, masks, _ = _tables(spec)
+    cands = [[] for _ in range(n_cells)]
+    for s, bits in masks.items():
+        for cell in range(n_cells):
+            if bits >> cell & 1:
+                cands[cell].append((s, bits))
+    full = (1 << n_cells) - 1
+    stack = [(0, ())]
+    while stack:
+        covered, placed = stack.pop()
+        if covered == full:
+            yield placed
+            continue
+        cell = (covered ^ (covered + 1)).bit_length() - 1  # lowest zero bit
+        for s, bits in cands[cell]:
+            if not bits & covered:
+                stack.append((covered | bits, placed + (s,)))
+
+
+class TestSearchTables:
+    @pytest.mark.parametrize(
+        "m,q",
+        [((2, 3), (6, 6)), ((2, 2, 2), (2, 4, 4)), ((2, 2, 2, 2), (1, 1, 1, 2))],
+    )
+    def test_each_start_listed_once_under_its_lowest_cell(self, m, q):
+        n_cells, masks, cands = _tables(TorusSpec(m, q))
+        listed = [
+            (cell, s, bits) for cell in range(n_cells) for s, bits in cands[cell]
+        ]
+        assert sorted(s for _, s, _ in listed) == sorted(masks)
+        for cell, s, bits in listed:
+            assert bits == masks[s]
+            assert cell == (bits & -bits).bit_length() - 1
+
+    @pytest.mark.parametrize(
+        "m,q,raw",
+        [
+            ((2, 3), (6, 6), 1_476),
+            ((3, 3), (9, 9), 13_041),
+            ((2, 2, 2), (2, 4, 4), 35_872),
+            ((2, 2, 2, 2), (1, 1, 1, 2), 256),
+        ],
+    )
+    def test_search_matches_every_cell_candidates_in_order(self, m, q, raw):
+        spec = TorusSpec(m, q)
+        found = list(_search(spec, 0, ()))
+        assert len(found) == raw
+        assert found == list(every_cell_search(spec))

@@ -249,6 +249,25 @@ def test_bad_budget_environment_is_input_error(monkeypatch, capsys):
     assert_input_error(code, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["census", "enumerate", "validate"])
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_environment_below_one_is_input_error(
+    tmp_path, monkeypatch, capsys, command, budget
+):
+    monkeypatch.setenv("KELLERPACK_CELL_BUDGET", budget)
+    if command == "validate":
+        argv = [command, write(tmp_path, "tiling.json", tiling_obj())]
+    else:
+        argv = [command, "--m", "2,2", "--q", "1,1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: KELLERPACK_CELL_BUDGET must be at least 1, got {budget}\n"
+    )
+
+
 class TestBuildMultipile:
     def test_build(self, tmp_path, capsys):
         path = write(tmp_path, "tree.json", tree_obj())

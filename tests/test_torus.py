@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from kellerpack import (
@@ -45,6 +47,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             TorusSpec((2, 2), (2,))
 
+    def test_cached_cell_sizes_keep_equality_hash_and_pickle(self):
+        spec = TorusSpec((2, 3), (6, 1))
+        assert spec.cell_sizes == (12, 3)
+        fresh = TorusSpec((2, 3), (6, 1))
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert {fresh: 1}[spec] == 1
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert copy.cell_sizes == (12, 3)
+
 
 class TestValidate:
     def test_grid_and_laminated_are_tilings(self):
@@ -63,6 +75,40 @@ class TestValidate:
     def test_start_out_of_range(self):
         with pytest.raises(InvalidTilingError):
             TorusTiling(GRID.spec, ((0, 0), (0, 2), (2, 0), (4, 2)))
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ((0,), "start has wrong dimension"),
+            ((0, 0, 0), "start has wrong dimension"),
+            ((0, -1), "start (0, -1) outside the torus grid"),
+            ((4, 0), "start (4, 0) outside the torus grid"),
+        ],
+    )
+    def test_bad_start_message(self, bad, message):
+        # the grid is 4 cells a side
+        with pytest.raises(InvalidTilingError) as info:
+            TorusTiling(GRID.spec, ((0, 2), bad, (2, 2)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "starts,message",
+        [
+            (((3, 0), (-1, 0)), "start (-1, 0) outside the torus grid"),
+            (((0, 9), (1,)), "start (0, 9) outside the torus grid"),
+            (((5, 0), (0,)), "start has wrong dimension"),
+        ],
+    )
+    def test_first_bad_start_in_sorted_order_is_named(self, starts, message):
+        with pytest.raises(InvalidTilingError) as info:
+            TorusTiling(GRID.spec, starts)
+        assert str(info.value) == message
+
+    def test_starts_become_sorted_tuples(self):
+        t = TorusTiling(GRID.spec, [[2, 2], [0, 2], [2, 0], [0, 0]])
+        assert t.starts == ((0, 0), (0, 2), (2, 0), (2, 2))
+        assert t == GRID
+        assert TorusTiling(GRID.spec, []).starts == ()
 
     def test_wraparound_cube(self):
         # a cube starting at the last cell wraps; the shifted grid tiles
