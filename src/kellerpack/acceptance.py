@@ -51,16 +51,11 @@ class CriterionResult:
     seconds: float
 
 
-_JOBS = [1]
-
-
 @lru_cache(maxsize=None)
 def _tilings(m: tuple[int, ...], q: tuple[int, ...]):
     # an explicit budget, so that KELLERPACK_CELL_BUDGET cannot skip a grid
     # of the suite; the largest, (3,3)/(9,9), has 729 cells
-    return enumerate_tilings(
-        TorusSpec(m, q), jobs=_JOBS[0], budget=DEFAULT_CELL_BUDGET
-    )
+    return enumerate_tilings(TorusSpec(m, q), budget=DEFAULT_CELL_BUDGET)
 
 
 @lru_cache(maxsize=None)
@@ -362,8 +357,7 @@ CRITERIA = [
 ]
 
 
-def run_all(jobs: int = 1, seed: int = 0) -> list[CriterionResult]:
-    _JOBS[0] = jobs
+def run_all(seed: int = 0) -> list[CriterionResult]:
     results = []
     for i, crit in enumerate(CRITERIA, 1):
         if crit is criterion_4_complexity_bound:

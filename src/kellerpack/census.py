@@ -3,11 +3,13 @@
 The search is an exact-cover backtracker over the cell grid: always place
 a cube covering the lexicographically least uncovered cell.  Cover state
 is one big int; placements are precomputed masks under their lowest cell, so
-the inner loop is a bit test.  Symmetry reduction canonicalizes each found
-tiling (translations, axis permutations among equal axes, per-axis
-reflections) and keeps one orbit representative; with translations
-enabled the search itself is restricted to tilings containing the cube at
-the origin, which meets every translation orbit.
+the inner loop is a bit test.  Symmetry reduction (translations, axis
+permutations among equal axes, per-axis reflections) marks orbits: with
+translations enabled the search is restricted to tilings containing the
+cube at the origin, which meets every translation orbit, and the first
+raw tiling found of an orbit marks every image of it the search can
+reach and keeps their least as the orbit's representative; later raw
+tilings of a marked orbit are skipped without acting on them.
 
 The symmetry group acts on start indices, not on tiling objects.  Starts
 are numbered in row-major order, which is their lexicographic order, so
@@ -35,19 +37,15 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
 from .boxes import row_major_strides
-from .errors import (
-    BudgetExceededError,
-    InvalidTilingError,
-    TheoremViolationError,
-)
+from .errors import BudgetExceededError, TheoremViolationError
 from .multipiles import extremal_p_value, is_multipile
 from .torus import (
     TorusSpec,
     TorusTiling,
     cube_cells,
     p_params,
+    require_valid,
     to_box_family,
-    validate_tiling,
 )
 
 ALL_SYMMETRIES = frozenset({"translate", "permute", "reflect"})
@@ -150,15 +148,47 @@ def _translated(cols, shifts, origin) -> tuple[int, ...]:
     return tuple(sorted(map(sum, zip(*map(map, getters, cols)))))
 
 
-def _image_columns(t: TorusTiling, symmetry: frozenset[str]):
-    """The group tables of t's spec, and the starts of t's image under
-    each (axis permutation, reflection) element as per-axis columns."""
+def _image_columns(spec: TorusSpec, starts, symmetry: frozenset[str]):
+    """The group tables of `spec`, and the image of `starts` under each
+    (axis permutation, reflection) element as per-axis columns."""
     coords, strides, images, shifts = _group(
-        t.spec, "permute" in symmetry, "reflect" in symmetry
+        spec, "permute" in symmetry, "reflect" in symmetry
     )
-    idx = [sum(x * st for x, st in zip(s, strides)) for s in t.starts]
+    idx = _indices(starts, strides)
     columns = [list(zip(*(coords[image[i]] for i in idx))) for image in images]
     return coords, shifts, columns
+
+
+def _indices(cells, strides) -> list[int]:
+    """Row-major indices of cells or starts."""
+    return [sum(x * st for x, st in zip(c, strides)) for c in cells]
+
+
+def _tiling(spec: TorusSpec, indices: Iterable[int]) -> TorusTiling:
+    """The tiling whose starts have the given row-major indices."""
+    sizes = spec.cell_sizes
+    strides = row_major_strides(sizes)
+    return TorusTiling(spec, tuple(
+        tuple(i // st % n for n, st in zip(sizes, strides)) for i in indices
+    ))
+
+
+def _origin_images(
+    spec: TorusSpec, starts, symmetry: frozenset[str]
+) -> set[tuple[int, ...]]:
+    """Sorted index tuples of the images of the tiling with `starts`: each
+    (axis permutation, reflection) element, followed, with translations
+    enabled, by every translation that brings one of the image's cubes to
+    the origin.  These are the orbit elements that contain the cube at the
+    origin, so they hold the orbit's least element: its sorted start list
+    begins with the all-zero start."""
+    _, shifts, columns = _image_columns(spec, starts, symmetry)
+    zero = [(0,) * spec.dimension]
+    return {
+        _translated(cols, shifts, origin)
+        for cols in columns
+        for origin in (zip(*cols) if "translate" in symmetry else zero)
+    }
 
 
 def canonical_form(
@@ -168,23 +198,12 @@ def canonical_form(
 
     The minimum is taken over sorted tuples of row-major start indices.
     Row-major numbering is the lexicographic order of the starts, so the
-    least index tuple names the least start tuple.  With translations
-    enabled only translations bringing some cube of an image to the
-    origin need be tried: the sorted start list of the minimum begins
-    with the all-zero start, which such a translation always achieves.
-    The group acts through the tables of _group; the only TorusTiling
-    built is the result.
+    least index tuple names the least start tuple.  The group acts through
+    the tables of _group, over _origin_images; the only TorusTiling built
+    is the result.
     """
-    if not validate_tiling(t):
-        raise InvalidTilingError("cannot canonicalize an invalid tiling")
-    coords, shifts, columns = _image_columns(t, symmetry)
-    zero = [(0,) * t.spec.dimension]
-    best = min(
-        _translated(cols, shifts, origin)
-        for cols in columns
-        for origin in (zip(*cols) if "translate" in symmetry else zero)
-    )
-    return TorusTiling(t.spec, tuple(coords[i] for i in best))
+    require_valid(t)
+    return _tiling(t.spec, min(_origin_images(t.spec, t.starts, symmetry)))
 
 
 def orbit(
@@ -193,12 +212,13 @@ def orbit(
     """All distinct images of t under the enabled symmetry group, through
     the same tables as canonical_form: every (axis permutation,
     reflection) element followed by every translation of the grid."""
-    coords, shifts, columns = _image_columns(t, symmetry)
+    require_valid(t)
+    coords, shifts, columns = _image_columns(t.spec, t.starts, symmetry)
     origins = coords if "translate" in symmetry else [(0,) * t.spec.dimension]
     images = {
         _translated(cols, shifts, origin) for cols in columns for origin in origins
     }
-    return {TorusTiling(t.spec, tuple(coords[i] for i in c)) for c in images}
+    return {_tiling(t.spec, c) for c in images}
 
 
 # --- exact-cover search -------------------------------------------------
@@ -209,12 +229,10 @@ def _tables(spec: TorusSpec):
     the placements whose lowest cell it is: the search branches on the lowest
     uncovered cell, so a cube reaching below it would overlap the cover."""
     strides = row_major_strides(spec.cell_sizes)
-    masks = {}
-    for s in product(*(range(n) for n in spec.cell_sizes)):
-        bits = 0
-        for cell in cube_cells(spec, s):
-            bits |= 1 << sum(x * st for x, st in zip(cell, strides))
-        masks[s] = bits
+    masks = {
+        s: sum(1 << i for i in _indices(cube_cells(spec, s), strides))
+        for s in product(*(range(n) for n in spec.cell_sizes))
+    }
     n_cells = spec.n_cells
     cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
     for s, bits in masks.items():
@@ -261,29 +279,6 @@ def check_budget(spec: TorusSpec, budget: Optional[int]) -> None:
         )
 
 
-def _origin_branches(spec: TorusSpec):
-    """Search prefixes after forcing the cube at the origin, split at the
-    next branching cell for parallel subtree tasks.  Every side is at
-    least 2, so the origin cube never covers the whole grid."""
-    _, masks, cands = _tables(spec)
-    origin = (0,) * spec.dimension
-    covered = masks[origin]
-    return [
-        (covered | bits, (origin, s))
-        for s, bits in cands[_lowest_zero(covered)]
-        if not bits & covered
-    ]
-
-
-def _run_branch(args) -> list[tuple[tuple[int, ...], ...]]:
-    spec, covered, placed, symmetry = args
-    out = []
-    for placed_full in _search(spec, covered, placed):
-        t = TorusTiling(spec, placed_full)
-        out.append(canonical_form(t, symmetry).starts)
-    return sorted(set(out))
-
-
 def enumerate_tilings(
     spec: TorusSpec,
     symmetry: frozenset[str] = ALL_SYMMETRIES,
@@ -292,33 +287,29 @@ def enumerate_tilings(
 ) -> list[TorusTiling]:
     """One canonical representative per orbit, in sorted order.
 
-    With translations enabled the search fixes a cube at the origin, which
-    every translation orbit contains; otherwise it falls back to the full
-    search.  Subtrees below the first branching cell are independent and
-    may run on a process pool; the merged result does not depend on the
-    worker count.
+    With translations enabled the search fixes the cube at the origin,
+    which every translation orbit contains; otherwise it runs in full.
+    The first raw tiling found of an orbit marks all of the orbit's
+    tilings the search can reach, its _origin_images, and contributes
+    their least, which is the canonical_form of each of them; a raw
+    tiling already marked is skipped, so the group acts once per orbit.
+    `jobs` is accepted and ignored: the search runs in one process.
     """
     check_budget(spec, budget)
     if "translate" in symmetry:
-        tasks = [
-            (spec, covered, placed, symmetry)
-            for covered, placed in _origin_branches(spec)
-        ]
+        origin = (0,) * spec.dimension
+        root = (_tables(spec)[1][origin], (origin,))
     else:
-        tasks = [(spec, 0, (), symmetry)]
-    if jobs > 1 and len(tasks) > 1:
-        # imported only here: the process-pool machinery adds about 2 MB
-        # to every process that imports it, and only a parallel run needs it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_branch, tasks, chunksize=1))
-    else:
-        results = [_run_branch(task) for task in tasks]
-    canon: set[tuple[tuple[int, ...], ...]] = set()
-    for chunk in results:
-        canon.update(chunk)
-    return [TorusTiling(spec, starts) for starts in sorted(canon)]
+        root = (0, ())
+    strides = row_major_strides(spec.cell_sizes)
+    seen: set[tuple[int, ...]] = set()
+    representatives = []
+    for placed in _search(spec, *root):
+        if tuple(sorted(_indices(placed, strides))) not in seen:
+            images = _origin_images(spec, placed, symmetry)
+            seen |= images
+            representatives.append(min(images))
+    return [_tiling(spec, indices) for indices in sorted(representatives)]
 
 
 # --- census -------------------------------------------------------------
@@ -341,12 +332,11 @@ class CensusRow:
 def census(
     spec: TorusSpec,
     symmetry: frozenset[str] = ALL_SYMMETRIES,
-    jobs: int = 1,
     budget: Optional[int] = None,
 ) -> CensusRow:
     """Enumerate the canonical tilings of `spec` and fold them with
     census_from_tilings."""
-    tilings = enumerate_tilings(spec, symmetry, jobs=jobs, budget=budget)
+    tilings = enumerate_tilings(spec, symmetry, budget=budget)
     return census_from_tilings(spec, symmetry, tilings)
 
 

@@ -5,8 +5,6 @@ its own test case; the suite itself prints one pass/fail line per
 criterion (run with -s to see them live).
 """
 
-import os
-
 import pytest
 
 from kellerpack import acceptance
@@ -15,8 +13,7 @@ from kellerpack.acceptance import CRITERIA, run_all
 
 @pytest.fixture(scope="module")
 def results():
-    jobs = min(4, os.cpu_count() or 1)
-    return run_all(jobs=jobs, seed=0)
+    return run_all(seed=0)
 
 
 @pytest.mark.parametrize("index", range(len(CRITERIA)))

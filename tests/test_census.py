@@ -12,6 +12,7 @@ from kellerpack import (
     enumerate_all_tilings,
     enumerate_tilings,
     orbit,
+    p_params,
     validate_tiling,
 )
 from kellerpack.census import _search, _tables, permute_axes, reflect, translate
@@ -79,6 +80,8 @@ class TestCanonicalForm:
         t = TorusTiling(TorusSpec((2, 2), (2, 2)), ((0, 0), (0, 1), (2, 0), (2, 2)))
         with pytest.raises(InvalidTilingError):
             canonical_form(t)
+        with pytest.raises(InvalidTilingError):
+            orbit(t)
 
     def test_transforms_preserve_validity(self):
         t = TorusTiling(TorusSpec((2, 2), (2, 2)), ((0, 0), (0, 2), (2, 1), (2, 3)))
@@ -155,6 +158,34 @@ class TestCanonicalFormOracle:
                 assert canonical_form(t, symmetry) == reference_canonical_form(
                     t, symmetry
                 ), (sorted(symmetry), t.starts)
+
+
+class TestEnumerateOracle:
+    """The orbit-marking enumeration against canonical_form applied to
+    every raw tiling."""
+
+    @pytest.mark.parametrize(
+        "symmetry", SYMMETRY_SUBSETS, ids=lambda s: "+".join(sorted(s)) or "none"
+    )
+    @pytest.mark.parametrize(
+        "m,q",
+        [((2, 2), (4, 4)), ((3, 3), (3, 3)), ((2, 2, 2), (1, 2, 2)), ((2, 3), (6, 6))],
+    )
+    def test_matches_canonicalized_brute_force(self, m, q, symmetry):
+        spec = TorusSpec(m, q)
+        expected = sorted(
+            {canonical_form(t, symmetry) for t in enumerate_all_tilings(spec)},
+            key=lambda t: t.starts,
+        )
+        assert enumerate_tilings(spec, symmetry) == expected
+
+    def test_2x2x2_q4_full_symmetry(self):
+        tilings = enumerate_tilings(TorusSpec((2, 2, 2), (4, 4, 4)))
+        assert len(set(tilings)) == 55
+        assert all(canonical_form(t) == t for t in tilings)
+        assert Counter(p_params(t).total for t in tilings) == {
+            3: 1, 4: 6, 5: 20, 6: 20, 7: 8
+        }
 
 
 class TestSlowPathEquivalence:
