@@ -3,14 +3,18 @@
 A box is a product of per-axis factors; each factor is either the full
 axis (stored as None) or a block of one of the system's partitions
 (stored as a BlockRef).  Point sets are materialized as bit vectors over
-the dense cell enumeration of X, which is fine at desk scale.
+the dense cell enumeration of X, which is fine at desk scale, and so are
+shadows: a box's projection onto the axes other than one is a row-major
+bit mask over their cells, the Kronecker product of its factors' block
+masks.  Each BoxFamily computes its Keller verdict and its fast CStats
+once and caches them on the instance.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -192,6 +196,22 @@ class BoxFamily:
         if not self.boxes:
             raise EmptyFamilyError("operation requires a nonempty family")
 
+    # Cached in the instance __dict__, outside the dataclass fields, so eq,
+    # hash and repr ignore them.
+    @cached_property
+    def _is_keller(self) -> bool:
+        return all(keller_pair(K, L) for K, L in combinations(self.boxes, 2))
+
+    @cached_property
+    def _fast_c_stats(self) -> "CStats":
+        hidden = []
+        for axis in range(self.system.dimension):
+            shadows = _axis_shadows(self, axis)
+            hidden.append(
+                frozenset(p for p, masks in shadows.items() if _all_equal(masks))
+            )
+        return _c_totals(self.system, hidden)
+
 
 def keller_pair(K: Box, L: Box) -> bool:
     """Keller's condition for one pair: some axis carries two different
@@ -211,7 +231,7 @@ def keller_pair(K: Box, L: Box) -> bool:
 
 def is_keller_family(G: BoxFamily) -> bool:
     G.require_nonempty()
-    return all(keller_pair(K, L) for K, L in combinations(G.boxes, 2))
+    return G._is_keller
 
 
 def require_keller(G: BoxFamily) -> None:
@@ -257,31 +277,65 @@ class PartitionStatus(enum.Enum):
     EXPOSED = "exposed"
 
 
-def _shadow(boxes: Iterable[Box], axis: int) -> set[tuple[int, ...]]:
-    """Union of the boxes' projections onto the axes other than `axis`."""
-    out: set[tuple[int, ...]] = set()
-    for K in boxes:
-        axes = [a for a in range(K.system.dimension) if a != axis]
-        out.update(product(*(K.factor_elems(a) for a in axes)))
+def _shadow_mask(K: Box, axis: int) -> int:
+    """K's projection onto the axes other than `axis`, as a row-major bit
+    mask over their cells: each further axis shifts a copy of its block
+    mask into place for every cell covered so far."""
+    system = K.system
+    mask = 1
+    for a, f in enumerate(K.factors):
+        if a == axis:
+            continue
+        size = system.axis_sizes[a]
+        if f is None:
+            block = (1 << size) - 1
+        else:
+            block = system.families[a][f.partition].blocks[f.block]
+        grown = 0
+        while mask:
+            low = mask & -mask
+            grown |= block << ((low.bit_length() - 1) * size)
+            mask ^= low
+        mask = grown
+    return mask
+
+
+def _axis_shadows(G: BoxFamily, axis: int) -> dict[int, list[int]]:
+    """For each partition that G uses on `axis`, the shadow of the boxes
+    over each of its blocks (the OR of their shadow masks), in block
+    order; a block no box uses has the empty shadow 0."""
+    families = G.system.families[axis]
+    out: dict[int, list[int]] = {}
+    for K in G.boxes:
+        f = K.factors[axis]
+        if f is None:
+            continue
+        masks = out.get(f.partition)
+        if masks is None:
+            masks = out[f.partition] = [0] * families[f.partition].n_blocks
+        masks[f.block] |= _shadow_mask(K, axis)
     return out
+
+
+def _all_equal(masks: list[int]) -> bool:
+    return masks.count(masks[0]) == len(masks)
 
 
 def blocks_share_shadow(G: BoxFamily, axis: int, p: int) -> bool:
     """Whether the boxes of G over each block of partition p on `axis`
-    cast one and the same shadow on the remaining axes.
+    cast one and the same shadow mask on the remaining axes.
 
     This is the fast test that G restricted to p is a suit for an
     axis-cylinder; is_cylinder is the point-scan oracle.
     """
-    groups: list[list[Box]] = [
-        [] for _ in range(G.system.partition(axis, p).n_blocks)
-    ]
-    for K in G.boxes:
-        f = K.factors[axis]
-        if f is not None and f.partition == p:
-            groups[f.block].append(K)
-    first = _shadow(groups[0], axis)
-    return all(_shadow(g, axis) == first for g in groups[1:])
+    G.system.partition(axis, p)  # IndexError for a partition not in the system
+    masks = _axis_shadows(G, axis).get(p)
+    return masks is None or _all_equal(masks)
+
+
+def _check_method(method: str) -> None:
+    if method not in ("fast", "scan"):
+        raise ValueError(f"method must be 'fast' or 'scan', not {method!r}")
 
 
 def classify_partition(
@@ -290,24 +344,25 @@ def classify_partition(
     """Absent / Hidden / Exposed status of a nontrivial partition.
 
     Hidden means the restriction to the partition is a suit for an
-    axis-cylinder; the fast path checks that every block of the partition
-    projects to one and the same shadow on the remaining axes.
+    axis-cylinder.  The fast path checks that every block of the partition
+    casts one and the same shadow mask on the remaining axes; method="scan"
+    realizes the restriction and runs the is_cylinder point scan.
     """
+    _check_method(method)
     part = G.system.partition(axis, p)
     if part.is_trivial:
         raise TrivialPartitionError("classification is for nontrivial partitions")
     G.require_nonempty()
-    present = any(
-        f is not None and f.partition == p
-        for f in (K.factors[axis] for K in G.boxes)
-    )
-    if not present:
-        return PartitionStatus.ABSENT
-    if method == "scan":
-        Gp = restrict_to_partition(G, axis, p)
-        hidden = is_cylinder(realize(Gp), axis)
+    if method == "fast":
+        masks = _axis_shadows(G, axis).get(p)
+        if masks is None:
+            return PartitionStatus.ABSENT
+        hidden = _all_equal(masks)
     else:
-        hidden = blocks_share_shadow(G, axis, p)
+        Gp = restrict_to_partition(G, axis, p)
+        if Gp.is_empty:
+            return PartitionStatus.ABSENT
+        hidden = is_cylinder(realize(Gp), axis)
     return PartitionStatus.HIDDEN if hidden else PartitionStatus.EXPOSED
 
 
@@ -320,21 +375,38 @@ class CStats:
     c_total: int
 
 
+def _c_totals(
+    system: PartitionSystem, hidden: Sequence[frozenset[int]]
+) -> CStats:
+    c_per_axis = tuple(
+        sum(system.partition(axis, p).n_blocks - 1 for p in hid)
+        for axis, hid in enumerate(hidden)
+    )
+    return CStats(tuple(hidden), c_per_axis, sum(c_per_axis))
+
+
 def c_stats(G: BoxFamily, method: str = "fast") -> CStats:
+    """Hidden partitions and c totals of a Keller family.
+
+    The fast path reads every axis's shadow masks once and is cached on
+    the family, as is its Keller verdict; method="scan" classifies each
+    nontrivial partition by the is_cylinder oracle.
+    """
+    _check_method(method)
     require_keller(G)
-    hidden = []
-    c_per_axis = []
-    for axis in range(G.system.dimension):
-        hid = frozenset(
-            p
-            for p in G.system.nontrivial_indices(axis)
-            if classify_partition(G, axis, p, method) is PartitionStatus.HIDDEN
-        )
-        hidden.append(hid)
-        c_per_axis.append(
-            sum(G.system.partition(axis, p).n_blocks - 1 for p in hid)
-        )
-    return CStats(tuple(hidden), tuple(c_per_axis), sum(c_per_axis))
+    if method == "fast":
+        return G._fast_c_stats
+    return _c_totals(
+        G.system,
+        [
+            frozenset(
+                p
+                for p in G.system.nontrivial_indices(axis)
+                if classify_partition(G, axis, p, "scan") is PartitionStatus.HIDDEN
+            )
+            for axis in range(G.system.dimension)
+        ],
+    )
 
 
 def is_laminated(G: BoxFamily, axis: int, p: int) -> bool:

@@ -8,6 +8,7 @@ cells, so Python ints are the natural fixed-width bit vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -126,8 +127,23 @@ def join(p1: Partition, p2: Partition) -> Partition:
 
 
 def independent(p1: Partition, p2: Partition) -> bool:
-    """True iff the only partition coarser than both is the trivial one."""
-    return join(p1, p2).is_trivial
+    """True iff the only partition coarser than both is the trivial one.
+
+    Grows the mask of element 0's block of the join over both partitions'
+    blocks until no block straddles it; the partitions are independent iff
+    that closure is the whole ground set.  join(p1, p2).is_trivial is the
+    oracle.
+    """
+    if p1.axis_size != p2.axis_size:
+        raise AxisMismatchError("partitions on different ground sets")
+    blocks = p1.blocks + p2.blocks
+    comp, prev = 1, 0
+    while comp != prev:
+        prev = comp
+        for b in blocks:
+            if b & comp:
+                comp |= b
+    return comp == (1 << p1.axis_size) - 1
 
 
 def check_c_forte(
@@ -195,10 +211,15 @@ class PartitionSystem:
             return self.families[axis][p]
         raise IndexError(f"no partition {p} on axis {axis}")
 
-    def nontrivial_indices(self, axis: int) -> tuple[int, ...]:
+    @cached_property
+    def _nontrivial(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
-            i for i, p in enumerate(self.families[axis]) if not p.is_trivial
+            tuple(i for i, p in enumerate(family) if not p.is_trivial)
+            for family in self.families
         )
+
+    def nontrivial_indices(self, axis: int) -> tuple[int, ...]:
+        return self._nontrivial[axis]
 
 
 def arc_partition(n: int, q: int, offset: int) -> Partition:

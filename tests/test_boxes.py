@@ -1,7 +1,11 @@
+import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
+
+import kellerpack.boxes
 
 from kellerpack import (
     BlockRef,
@@ -33,6 +37,7 @@ from kellerpack.errors import (
     DuplicateBoxError,
     EmptyFamilyError,
     NotHiddenError,
+    NotKellerError,
     NotPartitionOfXError,
     NotPileError,
     SystemMismatchError,
@@ -49,6 +54,34 @@ def grid_tiling():
 def laminated_tiling():
     spec = TorusSpec((2, 2), (2, 2))
     return TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
+
+
+def keller_families(system):
+    """Every Keller family of `system`, each once: the nonempty cliques of
+    the Keller-pair graph on all of its boxes."""
+    choices = [
+        [None]
+        + [
+            BlockRef(p, b)
+            for p in system.nontrivial_indices(axis)
+            for b in range(system.partition(axis, p).n_blocks)
+        ]
+        for axis in range(system.dimension)
+    ]
+    boxes = [Box(system, factors) for factors in product(*choices)]
+    adj = [
+        sum(1 << j for j, L in enumerate(boxes) if keller_pair(K, L)) for K in boxes
+    ]
+
+    def grow(clique, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            yield clique + (boxes[v],)
+            yield from grow(clique + (boxes[v],), cand & adj[v])
+
+    return [BoxFamily(system, clique) for clique in grow((), (1 << len(boxes)) - 1)]
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +250,27 @@ class TestClassifyPartition:
                     checked += 1
         assert checked > 100
 
+    @pytest.mark.parametrize("method", ["Scan", "slow", ""])
+    def test_unknown_method_rejected(self, grid_family, method):
+        with pytest.raises(ValueError, match="'fast' or 'scan'"):
+            classify_partition(grid_family, 0, 0, method=method)
+        with pytest.raises(ValueError, match="'fast' or 'scan'"):
+            c_stats(grid_family, method=method)
+
+
+@pytest.mark.parametrize(
+    "arc, count", [((2, 2, 2), 193), ((2, 1, 3), 2088)], ids=["2-2-2", "2-1-3"]
+)
+def test_fast_l3_matches_scan_on_every_keller_family(arc, count):
+    families = keller_families(arc_system(*arc))
+    assert len(families) == count
+    for G in families:
+        assert c_stats(G) == c_stats(G, method="scan")
+        for axis in range(G.system.dimension):
+            for p in G.system.nontrivial_indices(axis):
+                fast = classify_partition(G, axis, p)
+                assert fast is classify_partition(G, axis, p, method="scan")
+
 
 class TestCStats:
     def test_singleton_hides_nothing(self):
@@ -234,6 +288,40 @@ class TestCStats:
         stats = c_stats(laminated_family)
         assert stats.hidden == (frozenset({0}), frozenset({0, 1}))
         assert stats.c_total == 3
+
+
+class TestFamilyCache:
+    def test_one_keller_scan_per_family(self, laminated_family, monkeypatch):
+        real = kellerpack.boxes.keller_pair
+        calls = []
+
+        def counting(K, L):
+            calls.append((K, L))
+            return real(K, L)
+
+        monkeypatch.setattr(kellerpack.boxes, "keller_pair", counting)
+        G = BoxFamily(laminated_family.system, laminated_family.boxes)
+        before = (hash(G), repr(G))
+        assert is_keller_family(G)
+        stats = c_stats(G)
+        assert theorem_b_report(G).c == stats.c_total
+        assert c_stats(G) is stats
+        assert len(calls) == comb(len(G), 2)
+        assert G == BoxFamily(G.system, G.boxes)
+        assert (hash(G), repr(G)) == before
+        assert [f.name for f in dataclasses.fields(BoxFamily)] == ["system", "boxes"]
+
+    def test_non_keller_raises_on_every_call(self):
+        sys_ = arc_system(2, 2, 2)
+        K = Box(sys_, (BlockRef(0, 0), BlockRef(0, 0)))
+        L = Box(sys_, (BlockRef(1, 0), BlockRef(1, 0)))
+        G = BoxFamily(sys_, (K, L))
+        for _ in range(2):
+            assert not is_keller_family(G)
+            with pytest.raises(NotKellerError):
+                c_stats(G)
+            with pytest.raises(NotKellerError):
+                theorem_b_report(G)
 
 
 class TestElementaryAggregate:

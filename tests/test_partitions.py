@@ -110,6 +110,30 @@ class TestIndependent:
         assert join(p1, p2).is_trivial
         assert independent(p1, p2)
 
+    def test_matches_join_on_every_pair_of_five_element_partitions(self):
+        def labelings(n):
+            # restricted growth strings: each label at most 1 + the max so far
+            if n == 0:
+                yield ()
+                return
+            for rest in labelings(n - 1):
+                for label in range(max(rest, default=-1) + 2):
+                    yield rest + (label,)
+
+        parts = [
+            make_partition(5, [[e for e in range(5) if lab[e] == b]
+                               for b in range(max(lab) + 1)])
+            for lab in labelings(5)
+        ]
+        assert len(set(parts)) == 52  # the Bell number B_5
+        for a in parts:
+            for b in parts:
+                assert independent(a, b) == join(a, b).is_trivial
+
+    def test_axis_mismatch(self):
+        with pytest.raises(AxisMismatchError):
+            independent(make_partition(4, [{0, 1}, {2, 3}]), trivial_partition(5))
+
 
 class TestCForte:
     def test_single_blocks_differ(self):
