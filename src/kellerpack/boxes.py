@@ -218,12 +218,17 @@ def keller_pair(K: Box, L: Box) -> bool:
     blocks of one and the same partition."""
     if K.system != L.system:
         raise SystemMismatchError("boxes from different systems")
-    for a, b in zip(K.factors, L.factors):
+    return keller_factors(K.factors, L.factors)
+
+
+def keller_factors(a: Sequence[Factor], b: Sequence[Factor]) -> bool:
+    """keller_pair on two normalized factor tuples of one system."""
+    for f, g in zip(a, b):
         if (
-            a is not None
-            and b is not None
-            and a.partition == b.partition
-            and a.block != b.block
+            f is not None
+            and g is not None
+            and f.partition == g.partition
+            and f.block != g.block
         ):
             return True
     return False
@@ -277,10 +282,21 @@ class PartitionStatus(enum.Enum):
     EXPOSED = "exposed"
 
 
+def extend_mask(mask: int, block: int, size: int) -> int:
+    """The row-major product of the cells in `mask` with one more axis of
+    `size` cells, restricted there to the bit mask `block`: a copy of
+    `block` is shifted into place for every cell of `mask`."""
+    grown = 0
+    while mask:
+        low = mask & -mask
+        grown |= block << ((low.bit_length() - 1) * size)
+        mask ^= low
+    return grown
+
+
 def _shadow_mask(K: Box, axis: int) -> int:
     """K's projection onto the axes other than `axis`, as a row-major bit
-    mask over their cells: each further axis shifts a copy of its block
-    mask into place for every cell covered so far."""
+    mask over their cells."""
     system = K.system
     mask = 1
     for a, f in enumerate(K.factors):
@@ -291,12 +307,7 @@ def _shadow_mask(K: Box, axis: int) -> int:
             block = (1 << size) - 1
         else:
             block = system.families[a][f.partition].blocks[f.block]
-        grown = 0
-        while mask:
-            low = mask & -mask
-            grown |= block << ((low.bit_length() - 1) * size)
-            mask ^= low
-        mask = grown
+        mask = extend_mask(mask, block, size)
     return mask
 
 

@@ -36,13 +36,13 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
-from .boxes import row_major_strides
+from .boxes import extend_mask, row_major_strides
 from .errors import BudgetExceededError, TheoremViolationError
 from .multipiles import extremal_p_value, is_multipile
+from .partitions import mask_of
 from .torus import (
     TorusSpec,
     TorusTiling,
-    cube_cells,
     p_params,
     require_valid,
     to_box_family,
@@ -227,12 +227,18 @@ def orbit(
 def _tables(spec: TorusSpec):
     """Per-spec placement tables: cube masks for every start and, per cell,
     the placements whose lowest cell it is: the search branches on the lowest
-    uncovered cell, so a cube reaching below it would overlap the cover."""
-    strides = row_major_strides(spec.cell_sizes)
-    masks = {
-        s: sum(1 << i for i in _indices(cube_cells(spec, s), strides))
-        for s in product(*(range(n) for n in spec.cell_sizes))
-    }
+    uncovered cell, so a cube reaching below it would overlap the cover.
+    A cube's mask is the row-major product of its cyclic arcs on each axis;
+    torus.cube_cells is the cell-by-cell oracle."""
+    sizes = spec.cell_sizes
+    masks: dict[tuple[int, ...], int] = {(): 1}
+    for n, q in zip(sizes, spec.q):
+        arcs = [mask_of((x + r) % n for r in range(q)) for x in range(n)]
+        masks = {
+            s + (x,): extend_mask(bits, arc, n)
+            for s, bits in masks.items()
+            for x, arc in enumerate(arcs)
+        }
     n_cells = spec.n_cells
     cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
     for s, bits in masks.items():

@@ -194,6 +194,14 @@ class PartitionSystem:
                         f"partitions {a.block_sets()} and {b.block_sets()} "
                         "are not independent"
                     )
+        # Every hash(Box) hashes its system, so the nested partition tuples
+        # are hashed once, into the instance __dict__, outside the fields.
+        object.__setattr__(
+            self, "_hash", hash((self.axis_sizes, self.families))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dimension(self) -> int:

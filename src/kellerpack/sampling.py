@@ -1,7 +1,8 @@
 """Randomized generators for property sweeps.
 
 Everything is driven by a caller-supplied random.Random so sweeps are
-reproducible from a seed.
+reproducible from a seed.  The family sampler draws and Keller-checks
+plain factor tuples and builds Box objects only for the boxes it keeps.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .boxes import BlockRef, Box, BoxFamily, keller_pair
+from .boxes import BlockRef, Box, BoxFamily, Factor, keller_factors
 from .partitions import (
     Partition,
     PartitionSystem,
@@ -18,16 +19,21 @@ from .partitions import (
     trivial_partition,
 )
 
+# Per axis: the indices of its nontrivial partitions and every partition's
+# block count.
+_DrawTable = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
 
 def random_partition(size: int, rng: random.Random) -> Partition:
     """Uniform-ish random nontrivial partition of 0..size-1."""
+    randint, randrange = rng.randint, rng.randrange
     while True:
-        n_blocks = rng.randint(2, size)
-        labels = [rng.randrange(n_blocks) for _ in range(size)]
-        used = sorted(set(labels))
+        n_blocks = randint(2, size)
+        labels = [randrange(n_blocks) for _ in range(size)]
+        used = set(labels)
         if len(used) < 2:
             continue
-        blocks = [[e for e, l in zip(range(size), labels) if l == u] for u in used]
+        blocks = [[e for e, l in enumerate(labels) if l == u] for u in used]
         return make_partition(size, blocks)
 
 
@@ -57,17 +63,29 @@ def random_system(
     return PartitionSystem(tuple(sizes), tuple(families))
 
 
-def random_box(system: PartitionSystem, rng: random.Random) -> Box:
-    factors = []
-    for axis in range(system.dimension):
-        nontrivial = system.nontrivial_indices(axis)
+def _draw_table(system: PartitionSystem) -> _DrawTable:
+    return tuple(
+        (system.nontrivial_indices(axis), tuple(p.n_blocks for p in family))
+        for axis, family in enumerate(system.families)
+    )
+
+
+def _draw_factors(axes: _DrawTable, rng: random.Random) -> tuple[Factor, ...]:
+    """One random box as normalized factors: per axis the full axis, with
+    probability 0.15 or when the axis has no nontrivial partition, else a
+    uniform block of a uniform nontrivial partition."""
+    factors: list[Factor] = []
+    for nontrivial, n_blocks in axes:
         if not nontrivial or rng.random() < 0.15:
             factors.append(None)
         else:
             p = rng.choice(nontrivial)
-            b = rng.randrange(system.partition(axis, p).n_blocks)
-            factors.append(BlockRef(p, b))
-    return Box(system, tuple(factors))
+            factors.append(BlockRef(p, rng.randrange(n_blocks[p])))
+    return tuple(factors)
+
+
+def random_box(system: PartitionSystem, rng: random.Random) -> Box:
+    return Box(system, _draw_factors(_draw_table(system), rng))
 
 
 def random_keller_family(
@@ -77,17 +95,20 @@ def random_keller_family(
     attempts: int = 60,
 ) -> Optional[BoxFamily]:
     """Greedy sampler: draw boxes and keep those forming a Keller pair
-    with everything kept so far.  Returns None when not even one box
-    could be drawn (cannot happen for systems with nontrivial partitions)."""
-    boxes: list[Box] = []
+    with everything kept so far.  The first draw is always kept, so this
+    returns None only when `attempts` or `max_boxes` is below 1.
+
+    A repeat of a kept box fails Keller's condition against it, so the
+    check also drops duplicates.
+    """
+    axes = _draw_table(system)
+    kept: list[tuple[Factor, ...]] = []
     for _ in range(attempts):
-        if len(boxes) >= max_boxes:
+        if len(kept) >= max_boxes:
             break
-        K = random_box(system, rng)
-        if K in boxes:
-            continue
-        if all(keller_pair(K, L) for L in boxes):
-            boxes.append(K)
-    if not boxes:
+        factors = _draw_factors(axes, rng)
+        if all(keller_factors(factors, other) for other in kept):
+            kept.append(factors)
+    if not kept:
         return None
-    return BoxFamily(system, tuple(boxes))
+    return BoxFamily(system, tuple(Box(system, factors) for factors in kept))

@@ -15,6 +15,7 @@ from kellerpack import (
     p_params,
     validate_tiling,
 )
+from kellerpack.boxes import row_major_strides
 from kellerpack.census import _search, _tables, permute_axes, reflect, translate
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
 
@@ -328,3 +329,26 @@ class TestSearchTables:
         found = list(_search(spec, 0, ()))
         assert len(found) == raw
         assert found == list(every_cell_search(spec))
+
+    @pytest.mark.parametrize(
+        "m,q",
+        [
+            ((2, 2), (2, 2)),
+            ((2, 3), (6, 6)),
+            ((3, 3), (9, 9)),
+            ((2, 2, 2), (1, 2, 2)),
+            ((2, 2, 2), (4, 4, 4)),
+        ],
+    )
+    def test_masks_match_cube_cells(self, m, q):
+        from kellerpack import cube_cells
+
+        spec = TorusSpec(m, q)
+        strides = row_major_strides(spec.cell_sizes)
+        _, masks, _ = _tables(spec)
+        assert list(masks) == list(product(*(range(n) for n in spec.cell_sizes)))
+        for s, bits in masks.items():
+            expected = 0
+            for cell in cube_cells(spec, s):
+                expected |= 1 << sum(x * st for x, st in zip(cell, strides))
+            assert bits == expected

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -207,6 +209,25 @@ class TestArcSystem:
         sys_ = arc_system_mixed([2, 3], [6, 6])
         assert sys_.axis_sizes == (12, 18)
         assert len(sys_.families[0]) == 7  # 6 arc partitions plus trivial
+
+    def test_equal_systems_hash_equal(self):
+        sys_ = arc_system(3, 2, 2)
+        copies = [
+            arc_system(3, 2, 2),
+            pickle.loads(pickle.dumps(sys_)),
+            dataclasses.replace(sys_),
+            dataclasses.replace(sys_, axis_sizes=tuple(sys_.axis_sizes)),
+        ]
+        for other in copies:
+            assert other == sys_
+            assert hash(other) == hash(sys_)
+            assert repr(other) == repr(sys_)
+        assert hash(sys_) == hash((sys_.axis_sizes, sys_.families))
+        assert [f.name for f in dataclasses.fields(sys_)] == [
+            "axis_sizes",
+            "families",
+        ]
+        assert hash(arc_system(3, 1, 2)) != hash(sys_)
 
 
 class TestBinarySystem:
