@@ -12,9 +12,10 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, count, islice
 
 from .boxes import (
+    BoxFamily,
     PartitionStatus,
     c_stats,
     classify_partition,
@@ -64,44 +65,34 @@ def _census(m: tuple[int, ...], q: tuple[int, ...]):
     return census_from_tilings(TorusSpec(m, q), ALL_SYMMETRIES, _tilings(m, q))
 
 
-def criterion_1_tight_bound_2x2() -> CriterionResult:
+def _tight_bound(name, m, q, bound, time_limit, digits) -> CriterionResult:
+    """The census of one uniform grid attains `bound` exactly on its
+    multipiles, within `time_limit` seconds."""
     t0 = time.time()
-    row = _census((2, 2), (2, 2))
+    row = _census(m, q)
     elapsed = time.time() - t0
     ok = (
-        row.max_p == 3
-        and row.bound == 3
+        row.max_p == bound
+        and row.bound == bound
         and row.equality_count == row.multipile_count
         and all(row.attaining_multipile)
-        and elapsed < 1.0
+        and elapsed < time_limit
     )
     return CriterionResult(
-        "tight bound, n=2 d=2",
+        name,
         ok,
-        f"max_p={row.max_p} bound=3 equality={row.equality_count} "
-        f"multipiles={row.multipile_count} in {elapsed:.2f}s",
+        f"max_p={row.max_p} bound={bound} equality={row.equality_count} "
+        f"multipiles={row.multipile_count} in {elapsed:.{digits}f}s",
         elapsed,
     )
+
+
+def criterion_1_tight_bound_2x2() -> CriterionResult:
+    return _tight_bound("tight bound, n=2 d=2", (2, 2), (2, 2), 3, 1.0, 2)
 
 
 def criterion_2_tight_bound_2x2x2() -> CriterionResult:
-    t0 = time.time()
-    row = _census((2, 2, 2), (4, 4, 4))
-    elapsed = time.time() - t0
-    ok = (
-        row.max_p == 7
-        and row.bound == 7
-        and row.equality_count == row.multipile_count
-        and all(row.attaining_multipile)
-        and elapsed < 600.0
-    )
-    return CriterionResult(
-        "tight bound, n=2 d=3",
-        ok,
-        f"max_p={row.max_p} bound=7 equality={row.equality_count} "
-        f"multipiles={row.multipile_count} in {elapsed:.1f}s",
-        elapsed,
-    )
+    return _tight_bound("tight bound, n=2 d=3", (2, 2, 2), (4, 4, 4), 7, 600.0, 1)
 
 
 def criterion_3_tight_bound_3x3() -> CriterionResult:
@@ -128,22 +119,20 @@ def _census_families():
             yield to_box_family(t)
 
 
-def criterion_4_complexity_bound(seed: int = 0, n_random: int = 10_000) -> CriterionResult:
-    t0 = time.time()
+def _theorem_b_families(seed: int):
+    """The 72 census families, then seeded random Keller families, 10,000
+    in all."""
     rng = random.Random(seed)
+    sampled = (random_keller_family(random_system(rng), rng) for _ in count())
+    return islice(chain(_census_families(), sampled), 10_000)
+
+
+def criterion_4_complexity_bound(seed: int = 0) -> CriterionResult:
+    t0 = time.time()
     violations = 0
     mismatches = 0
     checked = 0
-    for G in _census_families():
-        rep = theorem_b_report(G)
-        checked += 1
-        violations += not rep.inequality_holds
-        mismatches += rep.equality != is_multipile(G).verdict
-    while checked < n_random:
-        system = random_system(rng)
-        G = random_keller_family(system, rng)
-        if G is None:
-            continue
+    for G in _theorem_b_families(seed):
         rep = theorem_b_report(G)
         checked += 1
         violations += not rep.inequality_holds
@@ -177,15 +166,8 @@ def criterion_5_box_count() -> CriterionResult:
             ):
                 failures += 1
     binary = binary_system([2, 2], [[{0}], [{0}]])
-    from .boxes import BlockRef, Box, BoxFamily
-
     four = BoxFamily(
-        binary,
-        tuple(
-            Box(binary, (BlockRef(0, a), BlockRef(0, b)))
-            for a in range(2)
-            for b in range(2)
-        ),
+        binary, tuple(K for K in _all_boxes(binary) if None not in K.factors)
     )
     rep = verify_box_count(four)
     checked += 1
@@ -232,38 +214,34 @@ def _all_boxes(system):
     return [Box(system, factors) for factors in iproduct(*per_axis)]
 
 
-def criterion_7_rewrite_preservation(min_pairs: int = 1000) -> CriterionResult:
-    t0 = time.time()
-    pairs = 0
-    exposed_violations = 0
-    hidden_violations = 0
-    families = list(_census_families())
-    depth = 0
-    while pairs < min_pairs and depth < 6:
+def _rewrites(families):
+    """(G, pile_rewrite(G, axis, p, A)) for every hidden partition p of
+    every family G and each of its blocks A, breadth first: the given
+    families, then their rewrites, for at most 6 generations."""
+    for _ in range(6):
         next_families = []
         for G in families:
             stats = c_stats(G)
             for axis in range(G.system.dimension):
                 for p in stats.hidden[axis]:
-                    n_blocks = G.system.partition(axis, p).n_blocks
-                    for A in range(n_blocks):
+                    for A in range(G.system.partition(axis, p).n_blocks):
                         G2 = pile_rewrite(G, axis, p, A)
-                        pairs += 1
-                        e, h = _check_preservation(G, G2)
-                        exposed_violations += e
-                        hidden_violations += h
                         next_families.append(G2)
-                        if pairs >= min_pairs:
-                            break
-                    if pairs >= min_pairs:
-                        break
-                if pairs >= min_pairs:
-                    break
-            if pairs >= min_pairs:
-                break
+                        yield G, G2
         families = next_families
-        depth += 1
-    ok = pairs >= min_pairs and exposed_violations == 0 and hidden_violations == 0
+
+
+def criterion_7_rewrite_preservation() -> CriterionResult:
+    t0 = time.time()
+    pairs = 0
+    exposed_violations = 0
+    hidden_violations = 0
+    for G, G2 in islice(_rewrites(_census_families()), 1000):
+        pairs += 1
+        e, h = _check_preservation(G, G2)
+        exposed_violations += e
+        hidden_violations += h
+    ok = pairs == 1000 and exposed_violations == 0 and hidden_violations == 0
     return CriterionResult(
         "rewrite chains preserve exposed and hidden status",
         ok,

@@ -245,12 +245,7 @@ def require_keller(G: BoxFamily) -> None:
 
 
 def realize_box(K: Box) -> PointSet:
-    sizes = K.system.axis_sizes
-    strides = row_major_strides(sizes)
-    bits = 0
-    for point in product(*(K.factor_elems(a) for a in range(len(sizes)))):
-        bits |= 1 << sum(x * s for x, s in zip(point, strides))
-    return PointSet(sizes, bits)
+    return PointSet(K.system.axis_sizes, _shadow_mask(K, None))
 
 
 def realize(G: BoxFamily) -> PointSet:
@@ -294,9 +289,9 @@ def extend_mask(mask: int, block: int, size: int) -> int:
     return grown
 
 
-def _shadow_mask(K: Box, axis: int) -> int:
+def _shadow_mask(K: Box, axis: Optional[int]) -> int:
     """K's projection onto the axes other than `axis`, as a row-major bit
-    mask over their cells."""
+    mask over their cells; with axis None, K itself as a mask over X."""
     system = K.system
     mask = 1
     for a, f in enumerate(K.factors):

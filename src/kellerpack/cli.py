@@ -156,6 +156,12 @@ def cmd_analyze(args) -> int:
         G = to_box_family(obj)
         stats = c_stats(G)
         report = theorem_c_report(obj) if obj.spec.is_uniform() else None
+        multipile = report.is_multipile if report else is_multipile(G).verdict
+        if report and (not report.holds or report.equality != multipile):
+            raise TheoremViolationError(
+                f"Theorem C fails on {args.path}: p(T)={report.p_total}, "
+                f"bound={report.bound}, multipile={multipile}"
+            )
         payload = {
             "p_per_axis": [sorted(v) for v in params.per_axis],
             "p_total": params.total,
@@ -164,18 +170,24 @@ def cmd_analyze(args) -> int:
             "c_total": stats.c_total,
             "size": len(G),
             "equality": report.equality if report else None,
-            "multipile": is_multipile(G).verdict,
+            "multipile": multipile,
             "hidden_partitions": [sorted(h) for h in stats.hidden],
         }
     else:
         stats = c_stats(obj)  # raises NotKellerError for a non-Keller family
         rep = theorem_b_report(obj)
+        multipile = is_multipile(obj).verdict
+        if not rep.inequality_holds or rep.equality != multipile:
+            raise TheoremViolationError(
+                f"Theorem B fails on {args.path}: c(G)={rep.c}, "
+                f"|G|-1={rep.size - 1}, multipile={multipile}"
+            )
         payload = {
             "c_per_axis": list(stats.c_per_axis),
             "c_total": stats.c_total,
             "size": rep.size,
             "equality": rep.equality,
-            "multipile": is_multipile(obj).verdict,
+            "multipile": multipile,
             "hidden_partitions": [sorted(h) for h in stats.hidden],
         }
     _emit(args, payload)

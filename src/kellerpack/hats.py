@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .boxes import (
     Box,
     BoxFamily,
+    is_keller_family,
     realize,
     require_keller,
 )
@@ -194,8 +195,6 @@ def suit_swap_check(
             raise PreconditionError("paired families are not equivalent suits")
     union_g = _union_family(Gs)
     union_h = _union_family(Hs)
-    from .boxes import is_keller_family
-
     if not is_keller_family(union_g):
         raise PreconditionError("the union of the first sequence is not Keller")
     return is_keller_family(union_h) and suits_equivalent(union_g, union_h)

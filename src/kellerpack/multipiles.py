@@ -117,18 +117,14 @@ def _hidden_clash(child_stats: Sequence[CStats], axis: int) -> Optional[int]:
     return None
 
 
-def is_multipile(
-    G: BoxFamily, memo: Optional[dict[frozenset[Box], MultipileResult]] = None
-) -> MultipileResult:
+def is_multipile(G: BoxFamily) -> MultipileResult:
     """Decide whether G is a multipile; on success return a witness tree.
 
     Candidates are tried axis-ascending then partition-ascending, so the
     returned witness is deterministic.
     """
     require_keller(G)
-    if memo is None:
-        memo = {}
-    return _recognize(G, memo)
+    return _recognize(G, {})
 
 
 def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:

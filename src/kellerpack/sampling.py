@@ -37,21 +37,16 @@ def random_partition(size: int, rng: random.Random) -> Partition:
         return make_partition(size, blocks)
 
 
-def random_system(
-    rng: random.Random,
-    max_dimension: int = 3,
-    max_size: int = 6,
-    max_partitions: int = 3,
-) -> PartitionSystem:
-    """Random system of pairwise independent partition families, built by
-    rejection: candidate partitions are kept only if independent of all
-    earlier ones on the axis."""
-    d = rng.randint(1, max_dimension)
-    sizes = [rng.randint(2, max_size) for _ in range(d)]
+def random_system(rng: random.Random) -> PartitionSystem:
+    """Random system of 1-3 axes of 2-6 elements, with up to 3 pairwise
+    independent partitions per axis built by rejection: candidate partitions
+    are kept only if independent of all earlier ones on the axis."""
+    d = rng.randint(1, 3)
+    sizes = [rng.randint(2, 6) for _ in range(d)]
     families = []
     for size in sizes:
         family: list[Partition] = []
-        target = rng.randint(1, max_partitions)
+        target = rng.randint(1, 3)
         attempts = 0
         while len(family) < target and attempts < 50:
             attempts += 1

@@ -5,10 +5,30 @@ its own test case; the suite itself prints one pass/fail line per
 criterion (run with -s to see them live).
 """
 
+import random
+import re
+from itertools import islice
+
 import pytest
 
 from kellerpack import acceptance
 from kellerpack.acceptance import CRITERIA, run_all
+from kellerpack.boxes import c_stats, pile_rewrite
+from kellerpack.sampling import random_keller_family, random_system
+
+DETAILS = [
+    r"max_p=3 bound=3 equality=1 multipiles=1 in \d+\.\d\ds",
+    r"max_p=7 bound=7 equality=8 multipiles=8 in \d+\.\ds",
+    re.escape("pilot max_p=4 bound=4; q=(9,9) max_p=4; lamination witness p_total=4"),
+    re.escape("10000 families, 0 violations, 0 equality/multipile mismatches"),
+    re.escape("71 partitions checked, 0 failures"),
+    re.escape("1476 box pairs, 0 mismatches"),
+    re.escape("1000 suit pairs, 0 exposed violations, 0 hidden violations"),
+    re.escape(
+        "observed max_p=4, lamination value=4, attaining tilings all multipile: True"
+    ),
+    re.escape("6 grids compared, 0 mismatches"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +40,65 @@ def results():
 def test_criterion(results, index):
     res = results[index]
     assert res.passed, f"criterion {index + 1} ({res.name}): {res.detail}"
+    assert re.fullmatch(DETAILS[index], res.detail), res.detail
+
+
+def old_theorem_b_families(seed, n_random=10_000):
+    """Criterion 4's family stream as its loop drew it before the stream
+    had a helper of its own: the reference for _theorem_b_families."""
+    rng = random.Random(seed)
+    checked = 0
+    for G in acceptance._census_families():
+        checked += 1
+        yield G
+    while checked < n_random:
+        system = random_system(rng)
+        G = random_keller_family(system, rng)
+        if G is None:
+            continue
+        checked += 1
+        yield G
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_theorem_b_families_match_the_old_loop(seed):
+    new = list(islice(acceptance._theorem_b_families(seed), 600))
+    assert new == list(islice(old_theorem_b_families(seed), 600))
+
+
+def old_rewrite_pairs(min_pairs=1000):
+    """Criterion 7's rewrite walk as its break ladder ran it before
+    _rewrites: the reference for the pairs and their order."""
+    pairs = []
+    families = list(acceptance._census_families())
+    depth = 0
+    while len(pairs) < min_pairs and depth < 6:
+        next_families = []
+        for G in families:
+            stats = c_stats(G)
+            for axis in range(G.system.dimension):
+                for p in stats.hidden[axis]:
+                    n_blocks = G.system.partition(axis, p).n_blocks
+                    for A in range(n_blocks):
+                        G2 = pile_rewrite(G, axis, p, A)
+                        pairs.append((G, G2))
+                        next_families.append(G2)
+                        if len(pairs) >= min_pairs:
+                            break
+                    if len(pairs) >= min_pairs:
+                        break
+                if len(pairs) >= min_pairs:
+                    break
+            if len(pairs) >= min_pairs:
+                break
+        families = next_families
+        depth += 1
+    return pairs
+
+
+def test_rewrites_match_the_old_ladder():
+    new = list(islice(acceptance._rewrites(acceptance._census_families()), 1000))
+    assert new == old_rewrite_pairs()
 
 
 def test_cell_budget_environment_skips_no_grid(monkeypatch):

@@ -56,9 +56,7 @@ def laminated_tiling():
     return TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
 
 
-def keller_families(system):
-    """Every Keller family of `system`, each once: the nonempty cliques of
-    the Keller-pair graph on all of its boxes."""
+def all_boxes(system):
     choices = [
         [None]
         + [
@@ -68,7 +66,13 @@ def keller_families(system):
         ]
         for axis in range(system.dimension)
     ]
-    boxes = [Box(system, factors) for factors in product(*choices)]
+    return [Box(system, factors) for factors in product(*choices)]
+
+
+def keller_families(system):
+    """Every Keller family of `system`, each once: the nonempty cliques of
+    the Keller-pair graph on all of its boxes."""
+    boxes = all_boxes(system)
     adj = [
         sum(1 << j for j, L in enumerate(boxes) if keller_pair(K, L)) for K in boxes
     ]
@@ -178,6 +182,28 @@ class TestRealize:
         G = BoxFamily(sys_, (K, L))
         assert is_keller_family(G)
         assert realize(G).cardinality() == K.volume() + L.volume() == 8
+
+    def test_box_mask_matches_point_product(self):
+        # the oracle sets one bit per point of the product of K's factors,
+        # at its row-major index
+        systems = [
+            arc_system(2, 2, 2),
+            arc_system(3, 2, 2),
+            arc_system(2, 1, 3),
+            binary_system([2, 3], [[{0}], [{0}, {1}]]),
+        ]
+        boxes = [K for sys_ in systems for K in all_boxes(sys_)]
+        assert len(boxes) == 116
+        for K in boxes:
+            sizes = K.system.axis_sizes
+            expected = 0
+            for point in product(*(K.factor_elems(a) for a in range(len(sizes)))):
+                index = 0
+                for x, size in zip(point, sizes):
+                    index = index * size + x
+                expected |= 1 << index
+            assert realize_box(K).sizes == sizes
+            assert realize_box(K).bits == expected, K
 
 
 class TestRestrict:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from kellerpack import (
     Box,
     Leaf,
+    MultipileResult,
     Node,
     TorusSpec,
     TorusTiling,
@@ -88,6 +90,15 @@ def assert_input_error(code, err):
     assert "Traceback" not in err
 
 
+def assert_theorem_violation(code, captured, *names):
+    assert code == 4
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("theorem violation (library bug): ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert all(name in err for name in names)
+
+
 class TestValidate:
     def test_valid_tiling(self, tmp_path, capsys):
         path = write(tmp_path, "t.json", tiling_to_obj(LAMINATED))
@@ -152,6 +163,24 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["c_total"] == 2 and payload["size"] == 4
 
+    # the laminated fixture attains its bound, so a recognizer that rejects
+    # it contradicts the equality case: the tiling's report reads the
+    # verdict in torus, the family's in cli
+    @pytest.mark.parametrize(
+        "module, obj",
+        [("kellerpack.torus", tiling_obj()), ("kellerpack.cli", family_obj())],
+        ids=["tiling", "family"],
+    )
+    def test_failed_bound_exits_4(self, tmp_path, monkeypatch, capsys, module, obj):
+        monkeypatch.setattr(
+            importlib.import_module(module),
+            "is_multipile",
+            lambda G: MultipileResult(False),
+        )
+        path = write(tmp_path, "in.json", obj)
+        code = main(["analyze", path])
+        assert_theorem_violation(code, capsys.readouterr(), path)
+
 
 class TestEnumerateCommand:
     def test_count_and_dump(self, tmp_path, capsys):
@@ -193,6 +222,18 @@ class TestCensusCommand:
         payload = json.loads(out)
         assert payload["p_histogram"] == {"2": 1, "3": 1}
         assert payload["config"]["m"] == "2,2"
+
+    def test_failed_bound_exits_4(self, monkeypatch, capsys):
+        # the module, not the census function that kellerpack exports
+        census_module = importlib.import_module("kellerpack.census")
+        bound = census_module.extremal_p_value
+        monkeypatch.setattr(
+            census_module, "extremal_p_value", lambda m, order: bound(m, order) - 1
+        )
+        code = main(["census", "--m", "2,2", "--q", "2,2"])
+        assert_theorem_violation(
+            code, capsys.readouterr(), "on ((0, 0), (0, 2), (2, 0), (2, 2))"
+        )
 
 
 @pytest.mark.parametrize(
