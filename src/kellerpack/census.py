@@ -271,10 +271,14 @@ def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list
     """Brute-force enumeration of every tiling, no symmetry reduction.
 
     This is the slow oracle the reduced enumerator is checked against.
+    It builds one TorusTiling per raw tiling, but their range check runs
+    once per distinct start on the spec, at most n_cells times: a tiling
+    passes it iff each of its starts does (TorusTiling.__post_init__).
     """
     check_budget(spec, budget)
     found = [TorusTiling(spec, placed) for placed in _search(spec, 0, ())]
-    return sorted(found, key=lambda t: t.starts)
+    found.sort(key=lambda t: t.starts)
+    return found
 
 
 def check_budget(spec: TorusSpec, budget: Optional[int]) -> None:

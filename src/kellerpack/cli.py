@@ -115,7 +115,13 @@ def _symmetry(args) -> frozenset[str]:
     unknown = flags - ALL_SYMMETRIES - {"none"}
     if unknown:
         raise ValueError(f"unknown symmetry flags: {sorted(unknown)}")
-    return frozenset() if flags == {"none"} else flags
+    if "none" not in flags:
+        return flags
+    if flags != {"none"}:
+        raise ValueError(
+            f"symmetry flag none cannot be combined with {sorted(flags - {'none'})}"
+        )
+    return frozenset()
 
 
 def _load(path: str):

@@ -38,6 +38,14 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _int(v: Any) -> int:
+    """A JSON integer as read.  bool, float and str are refused, not
+    coerced: int(1.9) and int(True) would accept a wrong file."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
 # --- partition systems --------------------------------------------------
 
 def system_to_obj(system: PartitionSystem) -> dict[str, Any]:
@@ -58,7 +66,7 @@ def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
     sizes = []
     families = []
     for axis in obj["axes"]:
-        size = int(axis["size"])
+        size = _int(axis["size"])
         family = [make_partition(size, blocks) for blocks in axis["partitions"]]
         if obj.get("unital") and not any(p.is_trivial for p in family):
             family.append(trivial_partition(size))
@@ -78,7 +86,7 @@ def _factor_to_obj(f: Optional[BlockRef]) -> Any:
 def _factor_from_obj(obj: Any) -> Optional[BlockRef]:
     if obj == "full":
         return None
-    return BlockRef(int(obj["p"]), int(obj["b"]))
+    return BlockRef(_int(obj["p"]), _int(obj["b"]))
 
 
 def family_to_obj(G: BoxFamily) -> dict[str, Any]:
@@ -116,8 +124,8 @@ def tiling_to_obj(t: TorusTiling) -> dict[str, Any]:
 
 
 def tiling_from_obj(obj: dict[str, Any]) -> TorusTiling:
-    spec = TorusSpec(tuple(int(v) for v in obj["m"]), tuple(int(v) for v in obj["q"]))
-    starts = tuple(tuple(int(v) for v in s) for s in obj["starts"])
+    spec = TorusSpec(tuple(map(_int, obj["m"])), tuple(map(_int, obj["q"])))
+    starts = tuple(tuple(map(_int, s)) for s in obj["starts"])
     return TorusTiling(spec, starts)
 
 
@@ -142,7 +150,7 @@ def tree_from_obj(obj: dict[str, Any], system: PartitionSystem) -> MultipileTree
         tree_from_obj(children_raw[str(b)], system)
         for b in range(len(children_raw))
     )
-    return Node(int(obj["axis"]), int(obj["partition"]), children)
+    return Node(_int(obj["axis"]), _int(obj["partition"]), children)
 
 
 # --- file helpers -------------------------------------------------------

@@ -11,6 +11,7 @@ from kellerpack import (
     Node,
     TorusSpec,
     TorusTiling,
+    enumerate_all_tilings,
     tiling_system,
     to_box_family,
 )
@@ -81,6 +82,18 @@ MALFORMED = {
     "tree-child-missing": edited(
         tree_obj(), lambda o: o["tree"]["children"].pop("0")
     ),
+    # numbers must be JSON integers: int() would truncate these to a valid file
+    "start-float": {"m": [2, 2], "q": [1, 1], "starts": [[0, 0], [0, 1], [1, 0], [1.9, 1]]},
+    "start-true": {"m": [2, 2], "q": [1, 1], "starts": [[0, 0], [0, 1], [1, 0], [1, True]]},
+    "m-float": {"m": [2.7, 2], "q": [1, 1], "starts": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+    "q-string": {"m": [2, 2], "q": ["1", 1], "starts": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+    "factor-float": edited(
+        family_obj(), lambda o: o["boxes"][0][0].__setitem__("p", 0.0)
+    ),
+    "system-size-float": edited(
+        family_obj(), lambda o: o["system"]["axes"][0].__setitem__("size", 4.0)
+    ),
+    "tree-axis-float": edited(tree_obj(), lambda o: o["tree"].__setitem__("axis", 0.0)),
 }
 
 
@@ -204,6 +217,21 @@ class TestEnumerateCommand:
     def test_unknown_symmetry(self, capsys):
         code, _ = run(capsys, ["enumerate", "--m", "2,2", "--symmetry", "rotate"])
         assert code == 2
+
+    def test_symmetry_none_is_the_trivial_group(self, capsys):
+        code, out = run(
+            capsys, ["enumerate", "--m", "2,2", "--q", "2,2", "--symmetry", "none"]
+        )
+        assert code == 0
+        assert json.loads(out)["count"] == len(enumerate_all_tilings(SPEC))
+
+    @pytest.mark.parametrize("command", ["census", "enumerate"])
+    @pytest.mark.parametrize("flags", ["none,translate", "reflect,none,permute"])
+    def test_none_with_other_symmetry_flags(self, capsys, command, flags):
+        code = main([command, "--m", "2,2", "--q", "1,1", "--symmetry", flags])
+        captured = capsys.readouterr()
+        assert_input_error(code, captured.err)
+        assert captured.out == ""
 
 
 class TestCensusCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import pytest
@@ -6,6 +7,7 @@ from kellerpack import (
     TorusSpec,
     TorusTiling,
     c_stats,
+    enumerate_all_tilings,
     expected_extremal_p,
     extremal_recipe,
     find_defect,
@@ -50,12 +52,19 @@ class TestSpec:
     def test_cached_cell_sizes_keep_equality_hash_and_pickle(self):
         spec = TorusSpec((2, 3), (6, 1))
         assert spec.cell_sizes == (12, 3)
+        TorusTiling(spec, ((0, 0), (6, 1)))
+        assert spec._checked_starts == {(0, 0), (6, 1)}
         fresh = TorusSpec((2, 3), (6, 1))
         assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh) == "TorusSpec(m=(2, 3), q=(6, 1))"
+        assert [f.name for f in dataclasses.fields(spec)] == ["m", "q"]
         assert {fresh: 1}[spec] == 1
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == fresh and hash(copy) == hash(fresh)
         assert copy.cell_sizes == (12, 3)
+        with pytest.raises(InvalidTilingError) as info:
+            TorusTiling(copy, ((0, 0), (6, 3)))
+        assert str(info.value) == "start (6, 3) outside the torus grid"
 
 
 class TestValidate:
@@ -114,6 +123,48 @@ class TestValidate:
         # a cube starting at the last cell wraps; the shifted grid tiles
         t = TorusTiling(TorusSpec((2,), (2,)), ((1,), (3,)))
         assert validate_tiling(t)
+
+
+class TestStartMemo:
+    """Each start's range check runs once per spec; a failing tiling adds
+    nothing to the memo."""
+
+    @staticmethod
+    def filled_spec():
+        spec = TorusSpec((2, 2), (2, 2))
+        for t in (GRID, LAMINATED):
+            TorusTiling(spec, t.starts)
+        assert spec._checked_starts == set(GRID.starts) | set(LAMINATED.starts)
+        return spec
+
+    @pytest.mark.parametrize(
+        "starts,message",
+        [
+            (((1, 1), (4, 1), (3, 3)), "start (4, 1) outside the torus grid"),
+            (((1, 1), (1, -1), (3, 3)), "start (1, -1) outside the torus grid"),
+            (((1, 1), (3, 3, 0), (3, 3)), "start has wrong dimension"),
+            (((0, 0), (5, 0), (-1, 3), (1, 1)), "start (-1, 3) outside the torus grid"),
+            (((0, 2), (2, 2), (0, 9), (1,)), "start (0, 9) outside the torus grid"),
+        ],
+    )
+    def test_bad_start_after_valid_tilings(self, starts, message):
+        spec = self.filled_spec()
+        with pytest.raises(InvalidTilingError) as info:
+            TorusTiling(spec, starts)
+        assert str(info.value) == message
+        assert spec._checked_starts == set(GRID.starts) | set(LAMINATED.starts)
+        # the same tiling on a fresh spec fails the same way
+        with pytest.raises(InvalidTilingError) as info:
+            TorusTiling(TorusSpec((2, 2), (2, 2)), starts)
+        assert str(info.value) == message
+
+    def test_enumeration_fills_memo_with_its_starts(self):
+        spec = TorusSpec((2, 2, 2), (2, 4, 4))
+        found = enumerate_all_tilings(spec)
+        assert len(found) == 35_872
+        starts = {s for t in found for s in t.starts}
+        assert spec._checked_starts == starts
+        assert len(starts) <= spec.n_cells
 
 
 class TestPParams:
