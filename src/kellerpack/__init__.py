@@ -70,7 +70,6 @@ from .torus import (
     TorusSpec,
     TorusTiling,
     cube_cells,
-    expected_extremal_p,
     extremal_recipe,
     find_defect,
     require_valid,

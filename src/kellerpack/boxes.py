@@ -203,7 +203,7 @@ class BoxFamily:
         return all(keller_pair(K, L) for K, L in combinations(self.boxes, 2))
 
     @cached_property
-    def _fast_c_stats(self) -> "CStats":
+    def _c_stats(self) -> "CStats":
         hidden = []
         for axis in range(self.system.dimension):
             shadows = _axis_shadows(self, axis)
@@ -339,37 +339,22 @@ def blocks_share_shadow(G: BoxFamily, axis: int, p: int) -> bool:
     return masks is None or _all_equal(masks)
 
 
-def _check_method(method: str) -> None:
-    if method not in ("fast", "scan"):
-        raise ValueError(f"method must be 'fast' or 'scan', not {method!r}")
-
-
-def classify_partition(
-    G: BoxFamily, axis: int, p: int, method: str = "fast"
-) -> PartitionStatus:
+def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:
     """Absent / Hidden / Exposed status of a nontrivial partition.
 
     Hidden means the restriction to the partition is a suit for an
-    axis-cylinder.  The fast path checks that every block of the partition
-    casts one and the same shadow mask on the remaining axes; method="scan"
-    realizes the restriction and runs the is_cylinder point scan.
+    axis-cylinder: every block of the partition casts one and the same
+    shadow mask on the remaining axes.  The point-scan oracle, which the
+    tests check this against, is is_cylinder on the realized restriction.
     """
-    _check_method(method)
     part = G.system.partition(axis, p)
     if part.is_trivial:
         raise TrivialPartitionError("classification is for nontrivial partitions")
     G.require_nonempty()
-    if method == "fast":
-        masks = _axis_shadows(G, axis).get(p)
-        if masks is None:
-            return PartitionStatus.ABSENT
-        hidden = _all_equal(masks)
-    else:
-        Gp = restrict_to_partition(G, axis, p)
-        if Gp.is_empty:
-            return PartitionStatus.ABSENT
-        hidden = is_cylinder(realize(Gp), axis)
-    return PartitionStatus.HIDDEN if hidden else PartitionStatus.EXPOSED
+    masks = _axis_shadows(G, axis).get(p)
+    if masks is None:
+        return PartitionStatus.ABSENT
+    return PartitionStatus.HIDDEN if _all_equal(masks) else PartitionStatus.EXPOSED
 
 
 @dataclass(frozen=True)
@@ -391,28 +376,15 @@ def _c_totals(
     return CStats(tuple(hidden), c_per_axis, sum(c_per_axis))
 
 
-def c_stats(G: BoxFamily, method: str = "fast") -> CStats:
+def c_stats(G: BoxFamily) -> CStats:
     """Hidden partitions and c totals of a Keller family.
 
-    The fast path reads every axis's shadow masks once and is cached on
-    the family, as is its Keller verdict; method="scan" classifies each
-    nontrivial partition by the is_cylinder oracle.
+    Every axis's shadow masks are read once, as in classify_partition, and
+    the result is cached on the family, as is its Keller verdict.  The
+    tests check the hidden sets against the is_cylinder point scan.
     """
-    _check_method(method)
     require_keller(G)
-    if method == "fast":
-        return G._fast_c_stats
-    return _c_totals(
-        G.system,
-        [
-            frozenset(
-                p
-                for p in G.system.nontrivial_indices(axis)
-                if classify_partition(G, axis, p, "scan") is PartitionStatus.HIDDEN
-            )
-            for axis in range(G.system.dimension)
-        ],
-    )
+    return G._c_stats
 
 
 def is_laminated(G: BoxFamily, axis: int, p: int) -> bool:

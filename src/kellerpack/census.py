@@ -345,7 +345,12 @@ def census(
     budget: Optional[int] = None,
 ) -> CensusRow:
     """Enumerate the canonical tilings of `spec` and fold them with
-    census_from_tilings."""
+    census_from_tilings.
+
+    The package exports this function under the name of its module, so
+    `import kellerpack.census as m` binds the function; the module is
+    `importlib.import_module("kellerpack.census")`.
+    """
     tilings = enumerate_tilings(spec, symmetry, budget=budget)
     return census_from_tilings(spec, symmetry, tilings)
 

@@ -4,9 +4,8 @@ Each box maps to a product over the nontrivial partitions of the system:
 the coordinate of the partition containing a proper factor is pinned to
 that block, every other coordinate is free.  Disjointness of hats mirrors
 Keller's condition and suit equality becomes plain union equality, which
-makes counting arguments available.  The ambient product Y is never fully
-materialized: measures and union sizes are computed combinatorially, with
-optional materialization over the coordinates actually pinned.
+makes counting arguments available.  The ambient product Y is never
+materialized: measures and union sizes are computed combinatorially.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .errors import (
     PreconditionError,
     SystemMismatchError,
 )
-
-DEFAULT_MATERIALIZE_CAP = 1 << 24
 
 
 def hat_measure(K: Box) -> Fraction:
@@ -113,32 +110,28 @@ def _union_size_counting(
 def _union_materialized(
     G: BoxFamily, coords: Sequence[tuple[int, int]]
 ) -> set[tuple[int, ...]]:
+    """The union of G's hats over `coords`, point by point: the tests'
+    oracle for the counts of suits_equivalent."""
     out: set[tuple[int, ...]] = set()
     for K in G.boxes:
         out.update(product(*_hat_over(K, coords)))
     return out
 
 
-def suits_equivalent(
-    G1: BoxFamily, G2: BoxFamily, cap: int = DEFAULT_MATERIALIZE_CAP
-) -> bool:
+def suits_equivalent(G1: BoxFamily, G2: BoxFamily) -> bool:
     """Whether the hat images of two Keller families have equal unions.
 
     Unreferenced coordinates are free in every hat involved, so the
-    comparison over the pinned coordinates alone is lossless.  Below `cap`
-    points the restricted product is materialized; beyond it the counting
-    path is used.
+    comparison over the pinned coordinates alone is lossless.  The unions
+    are equal iff |U1| = |U2| = |U1 union U2|.  Hats within a Keller family
+    are disjoint, so each size is an exact sum of hat and pairwise meet
+    sizes and no point is materialized; _union_materialized is the oracle.
     """
     if G1.system != G2.system:
         raise SystemMismatchError("families from different systems")
     require_keller(G1)
     require_keller(G2)
     coords = _pinned_coordinates(G1.boxes + G2.boxes)
-    total = 1
-    for axis, p in coords:
-        total *= G1.system.partition(axis, p).n_blocks
-    if total <= cap:
-        return _union_materialized(G1, coords) == _union_materialized(G2, coords)
     u1, u2, u = _union_size_counting(G1, G2, coords)
     return u1 == u2 == u
 

@@ -8,7 +8,6 @@ plain factor tuples and builds Box objects only for the boxes it keeps.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .boxes import BlockRef, Box, BoxFamily, Factor, keller_factors
 from .partitions import (
@@ -83,27 +82,20 @@ def random_box(system: PartitionSystem, rng: random.Random) -> Box:
     return Box(system, _draw_factors(_draw_table(system), rng))
 
 
-def random_keller_family(
-    system: PartitionSystem,
-    rng: random.Random,
-    max_boxes: int = 6,
-    attempts: int = 60,
-) -> Optional[BoxFamily]:
-    """Greedy sampler: draw boxes and keep those forming a Keller pair
-    with everything kept so far.  The first draw is always kept, so this
-    returns None only when `attempts` or `max_boxes` is below 1.
+def random_keller_family(system: PartitionSystem, rng: random.Random) -> BoxFamily:
+    """Greedy sampler: over 60 draws, keep each box that forms a Keller
+    pair with everything kept so far, stopping at 6 boxes.  The first draw
+    is always kept, so the family is never empty.
 
     A repeat of a kept box fails Keller's condition against it, so the
     check also drops duplicates.
     """
     axes = _draw_table(system)
     kept: list[tuple[Factor, ...]] = []
-    for _ in range(attempts):
-        if len(kept) >= max_boxes:
+    for _ in range(60):
+        if len(kept) >= 6:
             break
         factors = _draw_factors(axes, rng)
         if all(keller_factors(factors, other) for other in kept):
             kept.append(factors)
-    if not kept:
-        return None
     return BoxFamily(system, tuple(Box(system, factors) for factors in kept))

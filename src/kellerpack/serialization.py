@@ -67,7 +67,10 @@ def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
     families = []
     for axis in obj["axes"]:
         size = _int(axis["size"])
-        family = [make_partition(size, blocks) for blocks in axis["partitions"]]
+        family = [
+            make_partition(size, [[_int(e) for e in block] for block in blocks])
+            for blocks in axis["partitions"]
+        ]
         if obj.get("unital") and not any(p.is_trivial for p in family):
             family.append(trivial_partition(size))
         sizes.append(size)

@@ -9,7 +9,7 @@ cyclically.  All arithmetic is integer; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
@@ -148,23 +148,23 @@ def p_params(t: TorusTiling) -> PParams:
     return PParams(per_axis, sum(len(v) for v in per_axis))
 
 
+@lru_cache(maxsize=16)
 def tiling_system(spec: TorusSpec) -> PartitionSystem:
-    """The discretized unit-segment system bridging tilings to box families."""
+    """The discretized unit-segment system bridging tilings to box
+    families, built once per spec."""
     return arc_system_mixed(spec.m, spec.q)
 
 
-def to_box_family(
-    t: TorusTiling, system: Optional[PartitionSystem] = None
-) -> BoxFamily:
+def to_box_family(t: TorusTiling) -> BoxFamily:
     """Map each cube to the box of arcs containing it.
 
     The cube at start s occupies, on axis i, the arc of partition
-    pi_{s_i mod q_i} that starts at cell s_i.  A valid tiling always maps
+    pi_{s_i mod q_i} that starts at cell s_i.  Every family of one spec
+    shares the system tiling_system(t.spec).  A valid tiling always maps
     to a Keller family.
     """
     require_valid(t)
-    if system is None:
-        system = tiling_system(t.spec)
+    system = tiling_system(t.spec)
     boxes = []
     for s in t.starts:
         factors = []
@@ -267,7 +267,3 @@ def extremal_recipe(spec: TorusSpec, ordering: Sequence[int]) -> Recipe:
         recipe.append((axis, list(range(width))))
         width *= spec.m[axis]
     return recipe
-
-
-def expected_extremal_p(spec: TorusSpec, ordering: Sequence[int]) -> int:
-    return extremal_p_value(spec.m, ordering)

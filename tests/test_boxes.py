@@ -44,6 +44,7 @@ from kellerpack.errors import (
     TrivialPartitionError,
 )
 from kellerpack.sampling import random_keller_family, random_system
+from keller_helpers import all_boxes, keller_families
 
 
 def grid_tiling():
@@ -56,36 +57,15 @@ def laminated_tiling():
     return TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
 
 
-def all_boxes(system):
-    choices = [
-        [None]
-        + [
-            BlockRef(p, b)
-            for p in system.nontrivial_indices(axis)
-            for b in range(system.partition(axis, p).n_blocks)
-        ]
-        for axis in range(system.dimension)
-    ]
-    return [Box(system, factors) for factors in product(*choices)]
-
-
-def keller_families(system):
-    """Every Keller family of `system`, each once: the nonempty cliques of
-    the Keller-pair graph on all of its boxes."""
-    boxes = all_boxes(system)
-    adj = [
-        sum(1 << j for j, L in enumerate(boxes) if keller_pair(K, L)) for K in boxes
-    ]
-
-    def grow(clique, cand):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            yield clique + (boxes[v],)
-            yield from grow(clique + (boxes[v],), cand & adj[v])
-
-    return [BoxFamily(system, clique) for clique in grow((), (1 << len(boxes)) - 1)]
+def scan_status(G, axis, p):
+    """classify_partition by the point-scan oracle: ABSENT for an empty
+    restriction, else HIDDEN iff the realized restriction is a cylinder."""
+    Gp = restrict_to_partition(G, axis, p)
+    if Gp.is_empty:
+        return PartitionStatus.ABSENT
+    if is_cylinder(realize(Gp), axis):
+        return PartitionStatus.HIDDEN
+    return PartitionStatus.EXPOSED
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +140,6 @@ class TestIsKellerFamily:
         rng = random.Random(11)
         for _ in range(50):
             G = random_keller_family(random_system(rng), rng)
-            if G is None:
-                continue
             for K, L in combinations(G.boxes, 2):
                 assert not realize_box(K).bits & realize_box(L).bits
 
@@ -266,22 +244,11 @@ class TestClassifyPartition:
         checked = 0
         for _ in range(80):
             G = random_keller_family(random_system(rng), rng)
-            if G is None:
-                continue
             for axis in range(G.system.dimension):
                 for p in G.system.nontrivial_indices(axis):
-                    fast = classify_partition(G, axis, p, method="fast")
-                    scan = classify_partition(G, axis, p, method="scan")
-                    assert fast is scan
+                    assert classify_partition(G, axis, p) is scan_status(G, axis, p)
                     checked += 1
         assert checked > 100
-
-    @pytest.mark.parametrize("method", ["Scan", "slow", ""])
-    def test_unknown_method_rejected(self, grid_family, method):
-        with pytest.raises(ValueError, match="'fast' or 'scan'"):
-            classify_partition(grid_family, 0, 0, method=method)
-        with pytest.raises(ValueError, match="'fast' or 'scan'"):
-            c_stats(grid_family, method=method)
 
 
 @pytest.mark.parametrize(
@@ -291,11 +258,22 @@ def test_fast_l3_matches_scan_on_every_keller_family(arc, count):
     families = keller_families(arc_system(*arc))
     assert len(families) == count
     for G in families:
-        assert c_stats(G) == c_stats(G, method="scan")
-        for axis in range(G.system.dimension):
-            for p in G.system.nontrivial_indices(axis):
-                fast = classify_partition(G, axis, p)
-                assert fast is classify_partition(G, axis, p, method="scan")
+        system = G.system
+        hidden = []
+        for axis in range(system.dimension):
+            scan = {p: scan_status(G, axis, p) for p in system.nontrivial_indices(axis)}
+            for p, status in scan.items():
+                assert classify_partition(G, axis, p) is status
+            hidden.append(
+                frozenset(p for p, s in scan.items() if s is PartitionStatus.HIDDEN)
+            )
+        stats = c_stats(G)
+        assert stats.hidden == tuple(hidden)
+        assert stats.c_per_axis == tuple(
+            sum(system.partition(axis, p).n_blocks - 1 for p in hid)
+            for axis, hid in enumerate(hidden)
+        )
+        assert stats.c_total == sum(stats.c_per_axis)
 
 
 class TestCStats:
@@ -434,8 +412,6 @@ class TestTheoremB:
         rng = random.Random(17)
         for _ in range(200):
             G = random_keller_family(random_system(rng), rng)
-            if G is None:
-                continue
             assert theorem_b_report(G).inequality_holds
 
 

@@ -55,6 +55,15 @@ def tree_obj():
     return {"system": system_to_obj(system), "tree": tree_to_obj(tree)}
 
 
+def two_block_family_obj(element):
+    """A family on one size-2 axis split into {0} and {element}."""
+    axis = {"size": 2, "partitions": [[[0], [element]]]}
+    return {
+        "system": {"axes": [axis], "unital": True},
+        "boxes": [[{"p": 0, "b": 0}], [{"p": 0, "b": 1}]],
+    }
+
+
 def edited(obj, edit):
     edit(obj)
     return obj
@@ -94,6 +103,8 @@ MALFORMED = {
         family_obj(), lambda o: o["system"]["axes"][0].__setitem__("size", 4.0)
     ),
     "tree-axis-float": edited(tree_obj(), lambda o: o["tree"].__setitem__("axis", 0.0)),
+    "block-element-true": two_block_family_obj(True),
+    "block-element-float": two_block_family_obj(1.0),
 }
 
 

@@ -31,6 +31,7 @@ from kellerpack.errors import (
 )
 from kellerpack.hats import _pinned_coordinates, _union_materialized, _union_size_counting
 from kellerpack.sampling import random_keller_family, random_system
+from keller_helpers import all_boxes, keller_families
 
 
 @pytest.fixture(scope="module")
@@ -38,16 +39,16 @@ def sys222():
     return arc_system(2, 2, 2)
 
 
-def laminated_family(sys_):
+def laminated_family():
     spec = TorusSpec((2, 2), (2, 2))
     t = TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
-    return to_box_family(t, sys_)
+    return to_box_family(t)
 
 
-def grid_family(sys_):
+def grid_family():
     spec = TorusSpec((2, 2), (2, 2))
     t = TorusTiling(spec, ((0, 0), (0, 2), (2, 0), (2, 2)))
-    return to_box_family(t, sys_)
+    return to_box_family(t)
 
 
 class TestHatsDisjoint:
@@ -67,7 +68,7 @@ class TestHatsDisjoint:
             hats_disjoint(Box(sys222, (None, None)), Box(other, (None,)))
 
     def test_mirrors_keller_exhaustive(self, sys222):
-        boxes = _all_boxes(sys222)
+        boxes = all_boxes(sys222)
         for K, L in combinations(boxes, 2):
             assert hats_disjoint(K, L) == keller_pair(K, L)
 
@@ -76,23 +77,10 @@ class TestHatsDisjoint:
         for _ in range(200):
             system = random_system(rng)
             G = random_keller_family(system, rng)
-            if G is None or len(G) < 2:
+            if len(G) < 2:
                 continue
             for K, L in combinations(G.boxes, 2):
                 assert hats_disjoint(K, L)
-
-
-def _all_boxes(system):
-    from itertools import product
-
-    per_axis = []
-    for axis in range(system.dimension):
-        opts = [None]
-        for p in system.nontrivial_indices(axis):
-            for b in range(system.partition(axis, p).n_blocks):
-                opts.append(BlockRef(p, b))
-        per_axis.append(opts)
-    return [Box(system, factors) for factors in product(*per_axis)]
 
 
 class TestHatMeasure:
@@ -117,44 +105,52 @@ class TestHatMeasure:
         K = Box(sys_, (BlockRef(0, 1), BlockRef(0, 2)))
         assert hat_measure(K) == Fraction(1, 6)
 
-    def test_tiling_measures_sum_to_one(self, sys222):
-        G = laminated_family(sys222)
+    def test_tiling_measures_sum_to_one(self):
+        G = laminated_family()
         assert sum(hat_measure(K) for K in G.boxes) == 1
 
 
 class TestSuitsEquivalent:
     def test_pile_and_its_aggregate(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, tuple(K for K in G.boxes if K.factors[0] == BlockRef(0, 0)))
         assert len(C) == 2
         H = elementary_aggregate(C, 1, 0, 0)
         assert realize(C).bits == realize(H).bits
         assert suits_equivalent(C, H)
 
-    def test_grid_and_laminated_tilings(self, sys222):
+    def test_grid_and_laminated_tilings(self):
         # both are suits for the full polybox
-        assert suits_equivalent(grid_family(sys222), laminated_family(sys222))
+        assert suits_equivalent(grid_family(), laminated_family())
 
     def test_inequivalent(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, G.boxes[:2])
         D = BoxFamily(sys222, G.boxes[2:])
         assert not suits_equivalent(C, D)
 
     def test_counting_path_matches_materialized(self, sys222):
-        cases = [
-            (grid_family(sys222), laminated_family(sys222)),
-            (
-                BoxFamily(sys222, laminated_family(sys222).boxes[:2]),
-                BoxFamily(sys222, laminated_family(sys222).boxes[2:]),
-            ),
-        ]
-        for G1, G2 in cases:
-            assert suits_equivalent(G1, G2, cap=0) == suits_equivalent(G1, G2)
+        # every ordered pair of equal-size Keller families, against the
+        # union of their hats built point by point
+        by_size = {}
+        for G in keller_families(sys222):
+            by_size.setdefault(len(G), []).append(G)
+        pairs = equivalent = 0
+        for families in by_size.values():
+            for G1 in families:
+                for G2 in families:
+                    coords = _pinned_coordinates(G1.boxes + G2.boxes)
+                    expected = _union_materialized(G1, coords) == _union_materialized(
+                        G2, coords
+                    )
+                    assert suits_equivalent(G1, G2) == expected, (G1, G2)
+                    pairs += 1
+                    equivalent += expected
+        assert (pairs, equivalent) == (13_329, 721)
 
-    def test_counting_sizes_match_materialized(self, sys222):
-        G1 = grid_family(sys222)
-        G2 = laminated_family(sys222)
+    def test_counting_sizes_match_materialized(self):
+        G1 = grid_family()
+        G2 = laminated_family()
         coords = _pinned_coordinates(G1.boxes + G2.boxes)
         u1 = _union_materialized(G1, coords)
         u2 = _union_materialized(G2, coords)
@@ -166,8 +162,8 @@ class TestSuitsEquivalent:
 
 
 class TestVerifyBoxCount:
-    def test_laminated_tiling(self, sys222):
-        rep = verify_box_count(laminated_family(sys222))
+    def test_laminated_tiling(self):
+        rep = verify_box_count(laminated_family())
         assert rep.measure_sum == 1
         assert rep.implied_size == 4
         assert rep.holds
@@ -178,7 +174,7 @@ class TestVerifyBoxCount:
             verify_box_count(G)
 
     def test_incomplete_family_rejected(self, sys222):
-        G = BoxFamily(sys222, laminated_family(sys222).boxes[:2])
+        G = BoxFamily(sys222, laminated_family().boxes[:2])
         with pytest.raises(NotPartitionError):
             verify_box_count(G)
 
@@ -201,26 +197,26 @@ class TestVerifyBoxCount:
 
 class TestSuitSwap:
     def test_swap_pile_for_aggregate(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, G.boxes[:2])
         D = BoxFamily(sys222, G.boxes[2:])
         agg = elementary_aggregate(C, 1, 0, 0)
         assert suit_swap_check([C, D], [agg, D])
 
     def test_identity_swap(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, G.boxes[:2])
         D = BoxFamily(sys222, G.boxes[2:])
         assert suit_swap_check([C, D], [C, D])
 
     def test_length_mismatch(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, G.boxes[:2])
         with pytest.raises(PreconditionError):
             suit_swap_check([C], [])
 
     def test_inequivalent_pair_rejected(self, sys222):
-        G = laminated_family(sys222)
+        G = laminated_family()
         C = BoxFamily(sys222, G.boxes[:2])
         D = BoxFamily(sys222, G.boxes[2:])
         with pytest.raises(PreconditionError):

@@ -1,15 +1,16 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and imports
+nothing but the standard library and itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import kellerpack
 
-MODULES = sorted(
-    p for p in Path(kellerpack.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+FILES = sorted(Path(kellerpack.__file__).parent.glob("*.py"))
+MODULES = [p for p in FILES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +34,27 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def absolute_imports(source: str) -> list[str]:
+    """Top-level module names of the absolute imports of `source`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names)
+
+
+def test_finds_absolute_imports():
+    source = "import os.path, sys\nfrom a.b import c\nfrom . import d\nfrom .e import f\n"
+    assert absolute_imports(source) == ["a", "os", "sys"]
+
+
+# the package has no runtime dependencies: every absolute import of every
+# module, __init__ included, is of the standard library
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    imports = absolute_imports(path.read_text())
+    assert [name for name in imports if name not in sys.stdlib_module_names] == []

@@ -28,16 +28,16 @@ def sys222():
     return arc_system(2, 2, 2)
 
 
-def laminated_family(sys_):
+def laminated_family():
     spec = TorusSpec((2, 2), (2, 2))
     t = TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
-    return to_box_family(t, sys_)
+    return to_box_family(t)
 
 
-def grid_family(sys_):
+def grid_family():
     spec = TorusSpec((2, 2), (2, 2))
     t = TorusTiling(spec, ((0, 0), (0, 2), (2, 0), (2, 2)))
-    return to_box_family(t, sys_)
+    return to_box_family(t)
 
 
 class TestIsMultipile:
@@ -46,8 +46,8 @@ class TestIsMultipile:
         res = is_multipile(G)
         assert res.verdict and isinstance(res.tree, Leaf)
 
-    def test_laminated_tiling_is_multipile(self, sys222):
-        res = is_multipile(laminated_family(sys222))
+    def test_laminated_tiling_is_multipile(self):
+        res = is_multipile(laminated_family())
         assert res.verdict
         assert isinstance(res.tree, Node)
         assert (res.tree.axis, res.tree.partition) == (0, 0)
@@ -56,7 +56,7 @@ class TestIsMultipile:
         assert child_partitions == {0, 1}
 
     def test_grid_tiling_is_not(self, sys222):
-        G = grid_family(sys222)
+        G = grid_family()
         # both columns hide the same axis-1 partition
         cols = [c_stats(BoxFamily(sys222, G.boxes[:2])),
                 c_stats(BoxFamily(sys222, G.boxes[2:]))]
@@ -88,7 +88,7 @@ class TestBuildMultipile:
         )
         G = build_multipile(sys222, tree)
         assert BoxFamily(sys222, tuple(sorted(G.boxes, key=str))).boxes == tuple(
-            sorted(laminated_family(sys222).boxes, key=str)
+            sorted(laminated_family().boxes, key=str)
         )
 
     def test_sibling_partition_reuse_rejected(self, sys222):

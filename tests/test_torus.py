@@ -8,7 +8,7 @@ from kellerpack import (
     TorusTiling,
     c_stats,
     enumerate_all_tilings,
-    expected_extremal_p,
+    extremal_p_value,
     extremal_recipe,
     find_defect,
     is_multipile,
@@ -237,10 +237,9 @@ class TestBridge:
         assert is_multipile(G).verdict
 
     def test_shared_system(self):
-        system = tiling_system(GRID.spec)
-        G1 = to_box_family(GRID, system)
-        G2 = to_box_family(LAMINATED, system)
-        assert G1.system is G2.system
+        G1 = to_box_family(GRID)
+        G2 = to_box_family(LAMINATED)
+        assert G1.system is G2.system is tiling_system(GRID.spec)
 
 
 class TestLaminatedConstruction:
@@ -262,7 +261,7 @@ class TestLaminatedConstruction:
                 total *= v
             spec = TorusSpec(m, tuple(total for _ in m))
             t = laminated_construction(spec, extremal_recipe(spec, ordering))
-            assert p_params(t).total == expected_extremal_p(spec, ordering)
+            assert p_params(t).total == extremal_p_value(spec.m, ordering)
 
     def test_offset_collision_rejected(self):
         spec = TorusSpec((2, 2), (2, 2))
