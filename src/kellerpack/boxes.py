@@ -7,7 +7,8 @@ the dense cell enumeration of X, which is fine at desk scale, and so are
 shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
 masks.  Each BoxFamily computes its Keller verdict and its fast CStats
-once and caches them on the instance.
+once and caches them on the instance.  all_boxes lists every box of a
+system, and keller_families every Keller family, by a clique walk.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     CompletenessError,
@@ -232,6 +233,50 @@ def keller_factors(a: Sequence[Factor], b: Sequence[Factor]) -> bool:
         ):
             return True
     return False
+
+
+def all_boxes(system: PartitionSystem) -> list[Box]:
+    """Every box of `system`, in row-major order over the axes: on each
+    axis the full axis (None) first, then each block of each nontrivial
+    partition."""
+    per_axis = [
+        [None]
+        + [
+            BlockRef(p, b)
+            for p in system.nontrivial_indices(axis)
+            for b in range(system.partition(axis, p).n_blocks)
+        ]
+        for axis in range(system.dimension)
+    ]
+    return [Box(system, factors) for factors in product(*per_axis)]
+
+
+def keller_families(system: PartitionSystem) -> Iterator[BoxFamily]:
+    """Every Keller family of `system`, each once: the nonempty cliques of
+    the Keller-pair graph on all_boxes(system), as ascending index tuples
+    in lexicographic order.
+
+    A depth-first walk over bit masks of the candidates that extend the
+    current clique (Bron-Kerbosch without pivoting, CACM 16, 1973)."""
+    boxes = all_boxes(system)
+    factors = [K.factors for K in boxes]
+    adj = [
+        sum(1 << j for j, b in enumerate(factors) if keller_factors(a, b))
+        for a in factors
+    ]
+    stack = [((), (1 << len(boxes)) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        grown = clique + (boxes[v],)
+        yield BoxFamily(system, grown)
+        # the clique's next sibling, then, popped first, its first child
+        if cand:
+            stack.append((clique, cand))
+        if cand & adj[v]:
+            stack.append((grown, cand & adj[v]))
 
 
 def is_keller_family(G: BoxFamily) -> bool:

@@ -271,7 +271,7 @@ def cmd_census(args) -> int:
 def cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(seed=args.seed)
+    results = run_all()
     return EXIT_OK if all(r.passed for r in results) else EXIT_PROPERTY
 
 
@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted; every command runs in one process")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted and recorded in config; no command reads it")
         if spec:
             p.add_argument("--m", required=True, help="comma-separated sides")
             p.add_argument(

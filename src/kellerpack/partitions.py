@@ -180,6 +180,8 @@ class PartitionSystem:
     def __post_init__(self) -> None:
         if len(self.axis_sizes) != len(self.families):
             raise AxisMismatchError("one partition family required per axis")
+        if not self.axis_sizes:
+            raise ValueError("need at least one axis")
         for size, family in zip(self.axis_sizes, self.families):
             if size < 2:
                 raise ValueError("ground sets must have at least two elements")

@@ -31,6 +31,8 @@ class TorusSpec:
     def __post_init__(self) -> None:
         if len(self.m) != len(self.q):
             raise ValueError("m and q must have the same dimension")
+        if not self.m:
+            raise ValueError("need at least one axis")
         if any(v < 2 for v in self.m) or any(v < 1 for v in self.q):
             raise ValueError("need sides m_i >= 2 and resolutions q_i >= 1")
 

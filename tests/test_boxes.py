@@ -32,6 +32,7 @@ from kellerpack import (
     theorem_b_report,
     to_box_family,
 )
+from kellerpack.boxes import all_boxes, keller_families
 from kellerpack.errors import (
     CompletenessError,
     DuplicateBoxError,
@@ -43,8 +44,8 @@ from kellerpack.errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
+from kellerpack.multipiles import is_multipile
 from kellerpack.sampling import random_keller_family, random_system
-from keller_helpers import all_boxes, keller_families
 
 
 def grid_tiling():
@@ -142,6 +143,65 @@ class TestIsKellerFamily:
             G = random_keller_family(random_system(rng), rng)
             for K, L in combinations(G.boxes, 2):
                 assert not realize_box(K).bits & realize_box(L).bits
+
+
+class TestAllBoxes:
+    def test_order(self):
+        # row-major over the axes; per axis the full axis, then the blocks
+        sys_ = arc_system(2, 1, 2)
+        F, A, B = None, BlockRef(0, 0), BlockRef(0, 1)
+        assert [K.factors for K in all_boxes(sys_)] == [
+            (F, F), (F, A), (F, B),
+            (A, F), (A, A), (A, B),
+            (B, F), (B, A), (B, B),
+        ]
+
+    def test_blocks_of_every_nontrivial_partition(self):
+        sys_ = binary_system([2, 3], [[{0}], [{0}, {1}]])
+        assert [K.factors[1] for K in all_boxes(sys_)[:5]] == [
+            None, BlockRef(0, 0), BlockRef(0, 1), BlockRef(1, 0), BlockRef(1, 1),
+        ]
+        assert len(all_boxes(sys_)) == 3 * 5
+
+
+class TestKellerFamilies:
+    @pytest.mark.parametrize(
+        "system",
+        [arc_system(2, 1, 2), arc_system(2, 2, 1), binary_system([2, 2], [[{0}], [{0}]])],
+        ids=["arc-2-1-2", "arc-2-2-1", "binary-2x2"],
+    )
+    def test_matches_brute_force(self, system):
+        # every nonempty subset of the boxes whose pairs are all Keller pairs
+        boxes = all_boxes(system)
+        assert len(boxes) <= 9
+        expected = {
+            frozenset(subset)
+            for r in range(1, len(boxes) + 1)
+            for subset in combinations(boxes, r)
+            if all(keller_pair(K, L) for K, L in combinations(subset, 2))
+        }
+        found = [frozenset(G.boxes) for G in keller_families(system)]
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+    def test_lexicographic_on_box_indices(self):
+        system = arc_system(2, 2, 2)
+        index = {K: i for i, K in enumerate(all_boxes(system))}
+        keys = [
+            tuple(index[K] for K in G.boxes) for G in keller_families(system)
+        ]
+        assert all(list(k) == sorted(k) for k in keys)
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize(
+        "arc, count",
+        [((2, 2, 2), 193), ((2, 1, 3), 2_088), ((3, 2, 2), 14_337)],
+        ids=["2-2-2", "2-1-3", "3-2-2"],
+    )
+    def test_counts(self, arc, count):
+        # as counted by the clique walk in perfbench/families.py, which
+        # uses no package code
+        assert sum(1 for _ in keller_families(arc_system(*arc))) == count
 
 
 class TestRealize:
@@ -255,7 +315,7 @@ class TestClassifyPartition:
     "arc, count", [((2, 2, 2), 193), ((2, 1, 3), 2088)], ids=["2-2-2", "2-1-3"]
 )
 def test_fast_l3_matches_scan_on_every_keller_family(arc, count):
-    families = keller_families(arc_system(*arc))
+    families = list(keller_families(arc_system(*arc)))
     assert len(families) == count
     for G in families:
         system = G.system
@@ -413,6 +473,16 @@ class TestTheoremB:
         for _ in range(200):
             G = random_keller_family(random_system(rng), rng)
             assert theorem_b_report(G).inequality_holds
+
+    def test_every_keller_family_of_arc_system_3_3_2(self):
+        checked = equality = 0
+        for G in keller_families(arc_system(3, 3, 2)):
+            rep = theorem_b_report(G)
+            assert rep.inequality_holds, G
+            assert rep.equality == is_multipile(G).verdict, G
+            checked += 1
+            equality += rep.equality
+        assert (checked, equality) == (68_398, 358)
 
 
 class TestLinePartitionCheck:

@@ -105,6 +105,9 @@ MALFORMED = {
     "tree-axis-float": edited(tree_obj(), lambda o: o["tree"].__setitem__("axis", 0.0)),
     "block-element-true": two_block_family_obj(True),
     "block-element-float": two_block_family_obj(1.0),
+    # the paper's tori and systems have d >= 1 axes
+    "tiling-no-axes": {"m": [], "q": [], "starts": [[]]},
+    "system-no-axes": {"system": {"axes": []}, "boxes": [[]]},
 }
 
 

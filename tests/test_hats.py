@@ -30,8 +30,8 @@ from kellerpack.errors import (
     SystemMismatchError,
 )
 from kellerpack.hats import _pinned_coordinates, _union_materialized, _union_size_counting
+from kellerpack.boxes import all_boxes, keller_families
 from kellerpack.sampling import random_keller_family, random_system
-from keller_helpers import all_boxes, keller_families
 
 
 @pytest.fixture(scope="module")

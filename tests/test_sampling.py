@@ -12,10 +12,9 @@ from kellerpack import (
     make_partition,
     trivial_partition,
 )
-from kellerpack.boxes import keller_factors
+from kellerpack.boxes import all_boxes, keller_factors
 from kellerpack.partitions import PartitionSystem, independent
 from kellerpack.sampling import random_box, random_keller_family, random_system
-from keller_helpers import all_boxes
 
 # --- reference: the object-level sampler --------------------------------
 # Draws and compares Box objects with keller_pair; the factor-tuple
