@@ -13,7 +13,8 @@ import pytest
 
 from kellerpack import acceptance
 from kellerpack.acceptance import CRITERIA, run_all
-from kellerpack.boxes import c_stats, pile_rewrite
+from kellerpack.boxes import c_stats, keller_families, pile_rewrite
+from kellerpack.partitions import arc_system
 from kellerpack.sampling import random_keller_family, random_system
 
 DETAILS = [
@@ -60,14 +61,33 @@ def old_theorem_b_families(seed, n_random=10_000):
         yield G
 
 
-def test_theorem_b_families():
-    # the census families, every Keller family of three arc systems, then
-    # the first 1,000 random families of the old stream
-    new = list(acceptance._theorem_b_families())
-    assert len(new) == 17_690
-    assert new[:72] == list(acceptance._census_families())
+@pytest.fixture(scope="module")
+def theorem_b_families():
+    return list(acceptance._theorem_b_families())
+
+
+ARC_SYSTEMS = [((2, 2, 2), 193), ((2, 1, 3), 2_088), ((3, 2, 2), 14_337)]
+
+
+@pytest.mark.parametrize("part", range(3))
+def test_theorem_b_families_match_the_old_loop(theorem_b_families, part):
+    # the stream has three parts: the old loop's 72 census families, every
+    # Keller family of three arc systems in place of the old loop's further
+    # random draws, then the first 1,000 random families of the old loop
+    new = theorem_b_families
+    assert len(new) == 72 + 16_618 + 1_000
     old = list(islice(old_theorem_b_families(0), 72 + 1_000))
-    assert new[-1_000:] == old[72:]
+    if part == 0:
+        assert new[:72] == old[:72] == list(acceptance._census_families())
+    elif part == 1:
+        exhaustive = []
+        for (n, q, d), count in ARC_SYSTEMS:
+            families = list(keller_families(arc_system(n, q, d)))
+            assert len(families) == count
+            exhaustive += families
+        assert new[72:-1_000] == exhaustive
+    else:
+        assert new[-1_000:] == old[72:]
 
 
 def old_rewrite_pairs(min_pairs=1000):
