@@ -6,9 +6,13 @@ axis (stored as None) or a block of one of the system's partitions
 the dense cell enumeration of X, which is fine at desk scale, and so are
 shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
-masks.  Each BoxFamily computes its Keller verdict and its fast CStats
-once and caches them on the instance.  all_boxes lists every box of a
-system, and keller_families every Keller family, by a clique walk.
+masks.  Each BoxFamily computes its Keller verdict once, and one
+partition-status table: per axis, whether each partition it uses is
+hidden, i.e. whether the boxes over every block cast one and the same
+shadow.  c_stats, classify_partition, is_pile and the multipile
+recognizer all read that table, which is cached on the instance.
+all_boxes lists every box of a system, and keller_families every Keller
+family, by a clique walk.
 """
 
 from __future__ import annotations
@@ -204,14 +208,27 @@ class BoxFamily:
         return all(keller_pair(K, L) for K, L in combinations(self.boxes, 2))
 
     @cached_property
+    def _hidden(self) -> tuple[dict[int, bool], ...]:
+        """Per axis, each partition the family uses there, mapped to
+        whether every one of its blocks casts the same shadow."""
+        return tuple(
+            {
+                p: masks.count(masks[0]) == len(masks)
+                for p, masks in _axis_shadows(self, axis).items()
+            }
+            for axis in range(self.system.dimension)
+        )
+
+    @cached_property
     def _c_stats(self) -> "CStats":
-        hidden = []
-        for axis in range(self.system.dimension):
-            shadows = _axis_shadows(self, axis)
-            hidden.append(
-                frozenset(p for p, masks in shadows.items() if _all_equal(masks))
-            )
-        return _c_totals(self.system, hidden)
+        hidden = tuple(
+            frozenset(p for p, h in table.items() if h) for table in self._hidden
+        )
+        c_per_axis = tuple(
+            sum(self.system.partition(axis, p).n_blocks - 1 for p in hid)
+            for axis, hid in enumerate(hidden)
+        )
+        return CStats(hidden, c_per_axis, sum(c_per_axis))
 
 
 def keller_pair(K: Box, L: Box) -> bool:
@@ -368,38 +385,24 @@ def _axis_shadows(G: BoxFamily, axis: int) -> dict[int, list[int]]:
     return out
 
 
-def _all_equal(masks: list[int]) -> bool:
-    return masks.count(masks[0]) == len(masks)
-
-
-def blocks_share_shadow(G: BoxFamily, axis: int, p: int) -> bool:
-    """Whether the boxes of G over each block of partition p on `axis`
-    cast one and the same shadow mask on the remaining axes.
-
-    This is the fast test that G restricted to p is a suit for an
-    axis-cylinder; is_cylinder is the point-scan oracle.
-    """
-    G.system.partition(axis, p)  # IndexError for a partition not in the system
-    masks = _axis_shadows(G, axis).get(p)
-    return masks is None or _all_equal(masks)
-
-
 def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:
     """Absent / Hidden / Exposed status of a nontrivial partition.
 
     Hidden means the restriction to the partition is a suit for an
     axis-cylinder: every block of the partition casts one and the same
-    shadow mask on the remaining axes.  The point-scan oracle, which the
-    tests check this against, is is_cylinder on the realized restriction.
+    shadow mask on the remaining axes.  The status is read from the
+    family's cached partition-status table: absent if the partition is
+    not in it.  The point-scan oracle, which the tests check this
+    against, is is_cylinder on the realized restriction.
     """
     part = G.system.partition(axis, p)
     if part.is_trivial:
         raise TrivialPartitionError("classification is for nontrivial partitions")
     G.require_nonempty()
-    masks = _axis_shadows(G, axis).get(p)
-    if masks is None:
+    hidden = G._hidden[axis].get(p)
+    if hidden is None:
         return PartitionStatus.ABSENT
-    return PartitionStatus.HIDDEN if _all_equal(masks) else PartitionStatus.EXPOSED
+    return PartitionStatus.HIDDEN if hidden else PartitionStatus.EXPOSED
 
 
 @dataclass(frozen=True)
@@ -411,22 +414,13 @@ class CStats:
     c_total: int
 
 
-def _c_totals(
-    system: PartitionSystem, hidden: Sequence[frozenset[int]]
-) -> CStats:
-    c_per_axis = tuple(
-        sum(system.partition(axis, p).n_blocks - 1 for p in hid)
-        for axis, hid in enumerate(hidden)
-    )
-    return CStats(tuple(hidden), c_per_axis, sum(c_per_axis))
-
-
 def c_stats(G: BoxFamily) -> CStats:
     """Hidden partitions and c totals of a Keller family.
 
-    Every axis's shadow masks are read once, as in classify_partition, and
-    the result is cached on the family, as is its Keller verdict.  The
-    tests check the hidden sets against the is_cylinder point scan.
+    The hidden sets are the hidden entries of the family's partition-status
+    table, the one classify_partition reads, and the result is cached on
+    the family, as is its Keller verdict.  The tests check the hidden sets
+    against the is_cylinder point scan.
     """
     require_keller(G)
     return G._c_stats
@@ -444,7 +438,7 @@ def is_pile(C: BoxFamily, axis: int, p: int) -> bool:
     """Laminated with respect to p and a suit for an axis-cylinder."""
     if C.is_empty or not is_keller_family(C) or not is_laminated(C, axis, p):
         return False
-    return blocks_share_shadow(C, axis, p)
+    return classify_partition(C, axis, p) is PartitionStatus.HIDDEN
 
 
 def elementary_aggregate(C: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:
@@ -472,7 +466,8 @@ def pile_rewrite(G: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:
         raise NotHiddenError("partition is not hidden in the family")
     C = restrict_to_partition(G, axis, p)
     agg = elementary_aggregate(C, axis, p, A)
-    remaining = tuple(K for K in G.boxes if K not in set(C.boxes))
+    pile = set(C.boxes)
+    remaining = tuple(K for K in G.boxes if K not in pile)
     return BoxFamily(G.system, remaining + agg.boxes)
 
 

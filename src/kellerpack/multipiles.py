@@ -16,9 +16,10 @@ from .boxes import (
     Box,
     BoxFamily,
     CStats,
-    blocks_share_shadow,
+    PartitionStatus,
     c_stats,
-    is_pile,
+    classify_partition,
+    is_laminated,
     require_keller,
     restrict_to_block,
 )
@@ -48,21 +49,15 @@ class MultipileResult:
 
 
 def _candidate_laminations(G: BoxFamily) -> list[tuple[int, int]]:
-    """(axis, partition) pairs that could laminate G: the lamination
-    partition must contain every box's factor on that axis, so only
-    factors actually in use need be tried."""
+    """(axis, partition) pairs that laminate G, axis-ascending.  A
+    lamination partition holds every box's factor on its axis, so on each
+    axis only the first box's partition need be tried."""
     out = []
     for axis in range(G.system.dimension):
-        parts = {
-            f.partition for f in (K.factors[axis] for K in G.boxes) if f is not None
-        }
-        if len(parts) == 1:
-            p = parts.pop()
-            if not G.system.partition(axis, p).is_trivial and all(
-                K.factors[axis] is not None for K in G.boxes
-            ):
-                out.append((axis, p))
-    return sorted(out)
+        f = G.boxes[0].factors[axis]
+        if f is not None and is_laminated(G, axis, f.partition):
+            out.append((axis, f.partition))
+    return out
 
 
 def _recognize(
@@ -76,8 +71,9 @@ def _recognize(
         memo[key] = result
         return result
     result = MultipileResult(False)
+    # G is Keller and laminated, so it is a pile exactly where p is hidden
     for axis, p in _candidate_laminations(G):
-        if not is_pile(G, axis, p):
+        if classify_partition(G, axis, p) is not PartitionStatus.HIDDEN:
             continue
         part = G.system.partition(axis, p)
         children = []
@@ -153,7 +149,7 @@ def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
         child_families.append(BoxFamily(system, boxes))
     # boxes under different blocks differ on tree.axis: no duplicates here
     G = BoxFamily(system, tuple(K for fam in child_families for K in fam.boxes))
-    if not blocks_share_shadow(G, tree.axis, tree.partition):
+    if classify_partition(G, tree.axis, tree.partition) is PartitionStatus.EXPOSED:
         raise IllFormedTreeError(
             "sibling subtrees realize different shadows; the node is not a pile"
         )

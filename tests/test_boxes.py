@@ -21,6 +21,7 @@ from kellerpack import (
     elementary_aggregate,
     is_cylinder,
     is_keller_family,
+    is_pile,
     keller_pair,
     line_partition_check,
     pile_rewrite,
@@ -375,6 +376,25 @@ class TestFamilyCache:
         assert (hash(G), repr(G)) == before
         assert [f.name for f in dataclasses.fields(BoxFamily)] == ["system", "boxes"]
 
+    def test_one_shadow_table_per_family(self, laminated_family, monkeypatch):
+        real = kellerpack.boxes._axis_shadows
+        G = BoxFamily(laminated_family.system, laminated_family.boxes)
+        calls = []
+
+        def counting(F, axis):
+            if F is G:
+                calls.append(axis)
+            return real(F, axis)
+
+        monkeypatch.setattr(kellerpack.boxes, "_axis_shadows", counting)
+        c_stats(G)
+        for axis in range(G.system.dimension):
+            for p in G.system.nontrivial_indices(axis):
+                classify_partition(G, axis, p)
+                is_pile(G, axis, p)
+        assert is_multipile(G).verdict
+        assert sorted(calls) == list(range(G.system.dimension))
+
     def test_non_keller_raises_on_every_call(self):
         sys_ = arc_system(2, 2, 2)
         K = Box(sys_, (BlockRef(0, 0), BlockRef(0, 0)))
@@ -386,6 +406,27 @@ class TestFamilyCache:
                 c_stats(G)
             with pytest.raises(NotKellerError):
                 theorem_b_report(G)
+
+
+def test_is_pile_matches_cylinder_oracle_on_every_keller_family():
+    system = arc_system(2, 2, 2)
+    checked = piles = 0
+    for G in keller_families(system):
+        for axis in range(system.dimension):
+            for p in system.nontrivial_indices(axis):
+                for C in (G, restrict_to_partition(G, axis, p)):
+                    if C.is_empty:
+                        continue
+                    laminated = all(
+                        K.factors[axis] is not None
+                        and K.factors[axis].partition == p
+                        for K in C.boxes
+                    )
+                    expected = laminated and is_cylinder(realize(C), axis)
+                    assert is_pile(C, axis, p) is expected
+                    checked += 1
+                    piles += expected
+    assert (checked, piles) == (1216, 168)
 
 
 class TestElementaryAggregate:

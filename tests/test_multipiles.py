@@ -104,6 +104,21 @@ class TestBuildMultipile:
         with pytest.raises(DisjointnessError):
             build_multipile(sys222, tree)
 
+    def test_sibling_shadow_mismatch_rejected(self, sys222):
+        tree = Node(
+            0,
+            0,
+            (
+                Leaf(Box(sys222, (None, BlockRef(0, 0)))),
+                Leaf(Box(sys222, (None, BlockRef(0, 1)))),
+            ),
+        )
+        with pytest.raises(
+            IllFormedTreeError,
+            match="sibling subtrees realize different shadows; the node is not a pile",
+        ):
+            build_multipile(sys222, tree)
+
     def test_wrong_child_count_rejected(self, sys222):
         leaf = Leaf(Box(sys222, (None, None)))
         with pytest.raises(IllFormedTreeError):
