@@ -16,11 +16,17 @@ are numbered in row-major order, which is their lexicographic order, so
 the least sorted index tuple over an orbit names the least sorted start
 tuple.  Per (spec, enabled symmetries) one cached table set holds each
 (axis permutation, reflection) element as an image table over the start
-indices, and translation by -o as per-axis rows
-shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
-axes; a full start-by-start translation table would grow with the square
-of the cell count.  translate, permute_axes and reflect remain as the
-object-level reference the tests check the tables against.
+indices, built as a row-major sum of d per-axis rows, and translation by
+-o as per-axis rows shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a
+summed over the axes; a full start-by-start translation table would grow
+with the square of the cell count.  The images an orbit marks are walked
+once per translation class: an element's image is translated by its
+first start, and only an image whose translate is new is translated to
+its other cubes, as two images with a common origin translate have the
+same origin translates (_origin_images).  The budget bounds the tables
+as well as the cells: the group order times the cell count may not
+exceed the budget squared.  translate, permute_axes and reflect remain
+as the object-level reference the tests check the tables against.
 
 A census folds one pass over the canonical tilings, the same for uniform
 and mixed sides: p(T) and the multipile verdict per tiling, against the
@@ -31,9 +37,11 @@ is the proved bound (n^d - 1)/(n - 1).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .boxes import extend_mask, row_major_strides
@@ -116,6 +124,12 @@ def _group(spec: TorusSpec, permute: bool, reflections: bool):
       images[g][i] being the index of the image of coords[i];
     - shifts[a][o][x] = ((x - o) mod n_a) * stride_a, so a start x
       translated by -o has index sum_a shifts[a][o_a][x_a].
+
+    An element moves source axis sigma[a] to axis a, reflected or not, so
+    an image index is a sum of one term per source axis.  Each table is
+    built from d rows, row[x] = (reflected or plain x) * stride_a placed
+    under source axis sigma[a], summed in row-major order over the
+    product of the rows: the last axis varies fastest, as in coords.
     """
     d = spec.dimension
     sizes = spec.cell_sizes
@@ -126,14 +140,15 @@ def _group(spec: TorusSpec, permute: bool, reflections: bool):
     images = []
     for sigma in perms:
         for flip in flips:
-            images.append(tuple(
-                sum(
-                    ((-c[sigma[a]] - spec.q[a]) % sizes[a] if flip[a] else c[sigma[a]])
-                    * strides[a]
-                    for a in range(d)
-                )
-                for c in coords
-            ))
+            rows = [()] * d
+            for a in range(d):
+                n, q, st = sizes[a], spec.q[a], strides[a]
+                xs = [(-x - q) % n for x in range(n)] if flip[a] else range(n)
+                rows[sigma[a]] = [x * st for x in xs]
+            table = [0]
+            for row in rows:
+                table = [t + r for t in table for r in row]
+            images.append(tuple(table))
     shifts = tuple(
         tuple(tuple(((x - o) % n) * st for x in range(n)) for o in range(n))
         for n, st in zip(sizes, strides)
@@ -181,14 +196,28 @@ def _origin_images(
     enabled, by every translation that brings one of the image's cubes to
     the origin.  These are the orbit elements that contain the cube at the
     origin, so they hold the orbit's least element: its sorted start list
-    begins with the all-zero start."""
+    begins with the all-zero start.
+
+    With translations the walk is one pass per translation class.  Each
+    image is first translated by its first start only.  If that tuple is
+    already in the set, it is an origin translate J - t of an image J
+    added earlier, so the image is J translated by s - t and its origin
+    translates are J's: the image is skipped.  Otherwise its translates
+    by each of its other starts are added too.  Without translations the
+    set holds one tuple per element.
+    """
     _, shifts, columns = _image_columns(spec, starts, symmetry)
-    zero = [(0,) * spec.dimension]
-    return {
-        _translated(cols, shifts, origin)
-        for cols in columns
-        for origin in (zip(*cols) if "translate" in symmetry else zero)
-    }
+    if "translate" not in symmetry:
+        zero = (0,) * spec.dimension
+        return {_translated(cols, shifts, zero) for cols in columns}
+    images: set[tuple[int, ...]] = set()
+    for cols in columns:
+        origins = zip(*cols)
+        first = _translated(cols, shifts, next(origins))
+        if first not in images:
+            images.add(first)
+            images.update(_translated(cols, shifts, o) for o in origins)
+    return images
 
 
 def canonical_form(
@@ -281,12 +310,39 @@ def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list
     return found
 
 
-def check_budget(spec: TorusSpec, budget: Optional[int]) -> None:
+def check_budget(
+    spec: TorusSpec,
+    budget: Optional[int],
+    symmetry: frozenset[str] = frozenset(),
+) -> None:
+    """Refuse a grid with more cells than the budget or, under `symmetry`,
+    one whose group tables would hold more than budget^2 entries: _group
+    builds an n_cells-entry table per (axis permutation, reflection)
+    element.  The group order comes from the multiplicities of the (m, q)
+    keys, before any permutation is listed."""
     limit = budget if budget is not None else default_cell_budget()
     if spec.n_cells > limit:
         raise BudgetExceededError(
             f"{spec.n_cells} cells exceed the budget of {limit}"
         )
+    order = _group_order(spec, symmetry)
+    if order * spec.n_cells > limit * limit:
+        raise BudgetExceededError(
+            f"{order} symmetries x {spec.n_cells} cells = "
+            f"{order * spec.n_cells} table entries exceed the budget squared, "
+            f"{limit}^2 = {limit * limit}"
+        )
+
+
+def _group_order(spec: TorusSpec, symmetry: frozenset[str]) -> int:
+    """The number of (axis permutation, reflection) elements _group builds
+    a table for: k! permutations per k axes sharing an (m, q) key, times
+    2^d reflections."""
+    order = 2 ** spec.dimension if "reflect" in symmetry else 1
+    if "permute" in symmetry:
+        for k in Counter(zip(spec.m, spec.q)).values():
+            order *= factorial(k)
+    return order
 
 
 def enumerate_tilings(
@@ -304,8 +360,9 @@ def enumerate_tilings(
     their least, which is the canonical_form of each of them; a raw
     tiling already marked is skipped, so the group acts once per orbit.
     `jobs` is accepted and ignored: the search runs in one process.
+    The budget bounds the cells and the group tables (check_budget).
     """
-    check_budget(spec, budget)
+    check_budget(spec, budget, symmetry)
     if "translate" in symmetry:
         origin = (0,) * spec.dimension
         root = (_tables(spec)[1][origin], (origin,))

@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from itertools import chain, combinations, permutations, product
 
@@ -16,8 +17,25 @@ from kellerpack import (
     validate_tiling,
 )
 from kellerpack.boxes import row_major_strides
-from kellerpack.census import _search, _tables, permute_axes, reflect, translate
+from kellerpack.census import (
+    _axis_permutations,
+    _group,
+    _group_order,
+    _image_columns,
+    _origin_images,
+    _search,
+    _tables,
+    _translated,
+    check_budget,
+    permute_axes,
+    reflect,
+    translate,
+)
+from kellerpack.cli import main
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
+
+# the package exports the census function under its module's name
+CENSUS_MODULE = importlib.import_module("kellerpack.census")
 
 
 class TestEnumerate:
@@ -96,8 +114,6 @@ class TestCanonicalForm:
 
     def test_permute_requires_matching_axes(self):
         # (2,3) axes have different keys, so only the identity survives
-        from kellerpack.census import _axis_permutations
-
         assert _axis_permutations(TorusSpec((2, 3), (2, 2))) == [(0, 1)]
         assert len(_axis_permutations(TorusSpec((2, 2), (2, 2)))) == 2
 
@@ -159,6 +175,126 @@ class TestCanonicalFormOracle:
                 assert canonical_form(t, symmetry) == reference_canonical_form(
                     t, symmetry
                 ), (sorted(symmetry), t.starts)
+
+
+def unpruned_origin_images(spec, starts, symmetry):
+    """Every (axis permutation, reflection) image translated to each of its
+    cubes, one _translated call per pair, with no class skipped."""
+    _, shifts, columns = _image_columns(spec, starts, symmetry)
+    zero = [(0,) * spec.dimension]
+    return {
+        _translated(cols, shifts, origin)
+        for cols in columns
+        for origin in (zip(*cols) if "translate" in symmetry else zero)
+    }
+
+
+def per_coordinate_images(spec, permute, reflections):
+    """The (axis permutation, reflection) tables of _group, one image
+    index per coordinate tuple of the grid."""
+    d = spec.dimension
+    sizes = spec.cell_sizes
+    strides = row_major_strides(sizes)
+    perms = _axis_permutations(spec) if permute else [tuple(range(d))]
+    flips = list(product((False, True), repeat=d)) if reflections else [(False,) * d]
+    return [
+        tuple(
+            sum(
+                ((-c[sigma[a]] - spec.q[a]) % sizes[a] if flip[a] else c[sigma[a]])
+                * strides[a]
+                for a in range(d)
+            )
+            for c in product(*(range(n) for n in sizes))
+        )
+        for sigma in perms
+        for flip in flips
+    ]
+
+
+ORBIT_GRIDS = [
+    ((2, 2), (4, 4)),
+    ((3, 3), (3, 3)),
+    ((2, 2, 2), (1, 2, 2)),
+    ((2, 2, 2), (2, 2, 2)),
+    ((2, 3), (6, 6)),
+]
+
+
+class TestGroupTables:
+    """The per-axis-row tables and the per-class orbit walk against their
+    per-coordinate and unpruned formulas."""
+
+    @pytest.mark.parametrize("m,q", ORBIT_GRIDS)
+    def test_origin_images_match_unpruned(self, m, q):
+        spec = TorusSpec(m, q)
+        origin = (0,) * spec.dimension
+        tilings = [t for t in enumerate_all_tilings(spec) if t.starts[0] == origin]
+        assert tilings
+        for symmetry in SYMMETRY_SUBSETS:
+            for t in tilings:
+                assert _origin_images(spec, t.starts, symmetry) == (
+                    unpruned_origin_images(spec, t.starts, symmetry)
+                ), (sorted(symmetry), t.starts)
+
+    @pytest.mark.parametrize("m,q", ORBIT_GRIDS + [((2, 2, 2, 2), (1, 2, 1, 2))])
+    @pytest.mark.parametrize(
+        "permute,reflections", list(product((False, True), repeat=2))
+    )
+    def test_images_match_per_coordinate_formula(self, m, q, permute, reflections):
+        spec = TorusSpec(m, q)
+        images = _group(spec, permute, reflections)[2]
+        assert images == per_coordinate_images(spec, permute, reflections)
+        symmetry = frozenset(
+            name for name, on in (("permute", permute), ("reflect", reflections)) if on
+        )
+        assert len(images) == _group_order(spec, symmetry)
+
+    @pytest.mark.parametrize(
+        "q,orbits,classes", [((2, 2, 2), 9, 32), ((4, 4, 4), 55, 508)]
+    )
+    def test_translated_once_per_class_and_cube(self, monkeypatch, q, orbits, classes):
+        # one call per orbit and element for its first translate, and one
+        # per further cube of each new translation class, against 48 x 8 =
+        # 384 per orbit when every element is translated to every cube
+        counted = []
+
+        def counting(*args):
+            counted.append(1)
+            return _translated(*args)
+
+        monkeypatch.setattr(CENSUS_MODULE, "_translated", counting)
+        assert census(TorusSpec((2, 2, 2), q)).tilings_total == orbits
+        assert len(counted) == orbits * 48 + classes * 7
+
+
+class TestGroupBudget:
+    def test_order_counts_permutations_from_key_multiplicities(self):
+        spec = TorusSpec((2, 2, 3, 2), (2, 2, 3, 1))
+        assert _group_order(spec, ALL_SYMMETRIES) == 2 * 16
+        assert _group_order(spec, frozenset({"permute"})) == 2
+        assert _group_order(spec, frozenset({"translate"})) == 1
+        assert _group_order(TorusSpec((2,) * 7, (1,) * 7), ALL_SYMMETRIES) == 645_120
+
+    def test_six_axes_need_a_larger_budget(self):
+        spec = TorusSpec((2,) * 6, (1,) * 6)
+        with pytest.raises(BudgetExceededError):
+            check_budget(spec, 1024, ALL_SYMMETRIES)
+        check_budget(spec, 2048, ALL_SYMMETRIES)
+        check_budget(spec, 1024, frozenset({"translate", "reflect"}))
+        check_budget(spec, 1024)
+
+    def test_seven_axes_exit_3_before_any_table(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("group tables built over the budget")
+
+        monkeypatch.setattr(CENSUS_MODULE, "_group", refuse)
+        monkeypatch.setattr(CENSUS_MODULE, "_axis_permutations", refuse)
+        code = main(["census", "--m", ",".join("2" * 7), "--q", ",".join("1" * 7)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: 645120 symmetries x 128 cells = 82575360 table entries "
+            "exceed the budget squared, 1024^2 = 1048576\n"
+        )
 
 
 class TestEnumerateOracle:
