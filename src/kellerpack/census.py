@@ -16,17 +16,12 @@ are numbered in row-major order, which is their lexicographic order, so
 the least sorted index tuple over an orbit names the least sorted start
 tuple.  Per (spec, enabled symmetries) one cached table set holds each
 (axis permutation, reflection) element as an image table over the start
-indices, built as a row-major sum of d per-axis rows, and translation by
--o as per-axis rows shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a
-summed over the axes; a full start-by-start translation table would grow
-with the square of the cell count.  The images an orbit marks are walked
-once per translation class: an element's image is translated by its
-first start, and only an image whose translate is new is translated to
-its other cubes, as two images with a common origin translate have the
-same origin translates (_origin_images).  The budget bounds the tables
-as well as the cells: the group order times the cell count may not
-exceed the budget squared.  translate, permute_axes and reflect remain
-as the object-level reference the tests check the tables against.
+indices, and translation by -o as per-axis rows
+shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
+axes; a full start-by-start translation table would grow with the square
+of the cell count.  An orbit's images are translated once per
+translation class (_origin_images).  translate, permute_axes and reflect
+remain as the object-level reference the tests check the tables against.
 
 A census folds one pass over the canonical tilings, the same for uniform
 and mixed sides: p(T) and the multipile verdict per tiling, against the
@@ -125,11 +120,8 @@ def _group(spec: TorusSpec, permute: bool, reflections: bool):
     - shifts[a][o][x] = ((x - o) mod n_a) * stride_a, so a start x
       translated by -o has index sum_a shifts[a][o_a][x_a].
 
-    An element moves source axis sigma[a] to axis a, reflected or not, so
-    an image index is a sum of one term per source axis.  Each table is
-    built from d rows, row[x] = (reflected or plain x) * stride_a placed
-    under source axis sigma[a], summed in row-major order over the
-    product of the rows: the last axis varies fastest, as in coords.
+    Each table is the row-major sum of d rows, one per source axis
+    sigma[a]: row[x] = (reflected or plain x) * stride_a.
     """
     d = spec.dimension
     sizes = spec.cell_sizes
@@ -198,21 +190,15 @@ def _origin_images(
     origin, so they hold the orbit's least element: its sorted start list
     begins with the all-zero start.
 
-    With translations the walk is one pass per translation class.  Each
-    image is first translated by its first start only.  If that tuple is
-    already in the set, it is an origin translate J - t of an image J
-    added earlier, so the image is J translated by s - t and its origin
-    translates are J's: the image is skipped.  Otherwise its translates
-    by each of its other starts are added too.  Without translations the
-    set holds one tuple per element.
+    An image whose translate by its first start s is already marked is
+    skipped: that translate is J - t for a marked image J and a start t
+    of J, so the image is J + s - t and has J's origin translates.
     """
     _, shifts, columns = _image_columns(spec, starts, symmetry)
-    if "translate" not in symmetry:
-        zero = (0,) * spec.dimension
-        return {_translated(cols, shifts, zero) for cols in columns}
+    zero = (0,) * spec.dimension
     images: set[tuple[int, ...]] = set()
     for cols in columns:
-        origins = zip(*cols)
+        origins = iter(zip(*cols) if "translate" in symmetry else [zero])
         first = _translated(cols, shifts, next(origins))
         if first not in images:
             images.add(first)
@@ -315,11 +301,9 @@ def check_budget(
     budget: Optional[int],
     symmetry: frozenset[str] = frozenset(),
 ) -> None:
-    """Refuse a grid with more cells than the budget or, under `symmetry`,
-    one whose group tables would hold more than budget^2 entries: _group
-    builds an n_cells-entry table per (axis permutation, reflection)
-    element.  The group order comes from the multiplicities of the (m, q)
-    keys, before any permutation is listed."""
+    """Refuse more cells than the budget or, under `symmetry`, more than
+    budget^2 group table entries; the group order is counted before
+    _group lists any permutation."""
     limit = budget if budget is not None else default_cell_budget()
     if spec.n_cells > limit:
         raise BudgetExceededError(
@@ -335,9 +319,7 @@ def check_budget(
 
 
 def _group_order(spec: TorusSpec, symmetry: frozenset[str]) -> int:
-    """The number of (axis permutation, reflection) elements _group builds
-    a table for: k! permutations per k axes sharing an (m, q) key, times
-    2^d reflections."""
+    """k! per k axes sharing an (m, q) key, times 2^d reflections."""
     order = 2 ** spec.dimension if "reflect" in symmetry else 1
     if "permute" in symmetry:
         for k in Counter(zip(spec.m, spec.q)).values():
@@ -360,7 +342,6 @@ def enumerate_tilings(
     their least, which is the canonical_form of each of them; a raw
     tiling already marked is skipped, so the group acts once per orbit.
     `jobs` is accepted and ignored: the search runs in one process.
-    The budget bounds the cells and the group tables (check_budget).
     """
     check_budget(spec, budget, symmetry)
     if "translate" in symmetry:

@@ -283,6 +283,19 @@ class TestGroupBudget:
         check_budget(spec, 1024, frozenset({"translate", "reflect"}))
         check_budget(spec, 1024)
 
+    def test_budget_below_group_order_refuses_a_grid_within_the_cell_cap(
+        self, capsys
+    ):
+        # 4 cells fit a budget of 4, but 8 symmetries x 4 cells do not fit 4^2
+        argv = ["census", "--m", "2,2", "--q", "1,1", "--budget"]
+        assert main(argv + ["4"]) == 3
+        assert capsys.readouterr().err == (
+            "error: 8 symmetries x 4 cells = 32 table entries "
+            "exceed the budget squared, 4^2 = 16\n"
+        )
+        assert main(argv + ["4", "--symmetry", "none"]) == 0
+        assert main(argv + ["6"]) == 0
+
     def test_seven_axes_exit_3_before_any_table(self, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("group tables built over the budget")
