@@ -22,7 +22,6 @@ from .boxes import (
     realize,
     realize_box,
     restrict,
-    restrict_to_block,
     restrict_to_partition,
     theorem_b_report,
 )

@@ -212,10 +212,7 @@ class BoxFamily:
         """Per axis, each partition the family uses there, mapped to
         whether every one of its blocks casts the same shadow."""
         return tuple(
-            {
-                p: masks.count(masks[0]) == len(masks)
-                for p, masks in _axis_shadows(self, axis).items()
-            }
+            _hidden_status(_axis_shadows(self, axis))
             for axis in range(self.system.dimension)
         )
 
@@ -329,10 +326,6 @@ def restrict_to_partition(G: BoxFamily, axis: int, p: int) -> BoxFamily:
     return restrict(G, axis, [BlockRef(p, b) for b in range(n)])
 
 
-def restrict_to_block(G: BoxFamily, axis: int, p: int, b: int) -> BoxFamily:
-    return restrict(G, axis, [BlockRef(p, b)])
-
-
 class PartitionStatus(enum.Enum):
     ABSENT = "absent"
     HIDDEN = "hidden"
@@ -369,20 +362,32 @@ def _shadow_mask(K: Box, axis: Optional[int]) -> int:
 
 
 def _axis_shadows(G: BoxFamily, axis: int) -> dict[int, list[int]]:
-    """For each partition that G uses on `axis`, the shadow of the boxes
-    over each of its blocks (the OR of their shadow masks), in block
-    order; a block no box uses has the empty shadow 0."""
-    families = G.system.families[axis]
+    """_block_shadows of G's boxes on `axis`."""
+    return _block_shadows(G.system.families[axis], [
+        (K.factors[axis], _shadow_mask(K, axis))
+        for K in G.boxes
+        if K.factors[axis] is not None
+    ])
+
+
+def _block_shadows(families, factor_shadows) -> dict[int, list[int]]:
+    """For each partition used on one axis by the (factor, shadow mask)
+    pairs of `factor_shadows`, the shadow of the boxes over each of its
+    blocks (the OR of their shadow masks), in block order; a block no box
+    uses has the empty shadow 0.  `families` are the axis's partitions."""
     out: dict[int, list[int]] = {}
-    for K in G.boxes:
-        f = K.factors[axis]
-        if f is None:
-            continue
+    for f, shadow in factor_shadows:
         masks = out.get(f.partition)
         if masks is None:
             masks = out[f.partition] = [0] * families[f.partition].n_blocks
-        masks[f.block] |= _shadow_mask(K, axis)
+        masks[f.block] |= shadow
     return out
+
+
+def _hidden_status(shadows: dict[int, list[int]]) -> dict[int, bool]:
+    """Each partition of _block_shadows mapped to whether all of its
+    blocks cast one and the same shadow."""
+    return {p: masks.count(masks[0]) == len(masks) for p, masks in shadows.items()}
 
 
 def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:
@@ -453,7 +458,7 @@ def elementary_aggregate(C: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:
         raise IndexError(f"block index {A} out of range")
     if not is_pile(C, axis, p):
         raise NotPileError("family is not a pile for this axis and partition")
-    CA = restrict_to_block(C, axis, p, A)
+    CA = restrict(C, axis, [BlockRef(p, A)])
     return BoxFamily(C.system, tuple(K.with_factor(axis, None) for K in CA.boxes))
 
 

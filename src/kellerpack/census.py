@@ -16,12 +16,14 @@ are numbered in row-major order, which is their lexicographic order, so
 the least sorted index tuple over an orbit names the least sorted start
 tuple.  Per (spec, enabled symmetries) one cached table set holds each
 (axis permutation, reflection) element as an image table over the start
-indices, and translation by -o as per-axis rows
+indices, recentred to fix the origin when translations are enabled, and
+translation by -o as per-axis rows
 shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
 axes; a full start-by-start translation table would grow with the square
-of the cell count.  An orbit's images are translated once per
-translation class (_origin_images).  translate, permute_axes and reflect
-remain as the object-level reference the tests check the tables against.
+of the cell count.  A tiling is translated once to each of its own
+starts, and every image the orbit walk needs is a table lookup
+(_origin_images).  translate, permute_axes and reflect remain as the
+object-level reference the tests check the tables against.
 
 A census folds one pass over the canonical tilings, the same for uniform
 and mixed sides: p(T) and the multipile verdict per tiling, against the
@@ -39,13 +41,13 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Iterator, Optional
 
-from .boxes import extend_mask, row_major_strides
+from .boxes import row_major_strides
 from .errors import BudgetExceededError, TheoremViolationError
 from .multipiles import extremal_p_value, is_multipile
-from .partitions import mask_of
 from .torus import (
     TorusSpec,
     TorusTiling,
+    cube_mask,
     p_params,
     require_valid,
     to_box_family,
@@ -110,60 +112,64 @@ def _axis_permutations(spec: TorusSpec) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=16)
-def _group(spec: TorusSpec, permute: bool, reflections: bool):
+def _group(spec: TorusSpec, permute: bool, reflections: bool, translate: bool):
     """Index tables for the symmetry group of `spec`.
 
-    Returns (coords, strides, images, shifts):
-    - coords[i] is the start with row-major index i;
-    - images holds one table per (axis permutation, reflection) element,
-      images[g][i] being the index of the image of coords[i];
+    Returns (tables, shifts):
+    - tables holds one table per (axis permutation, reflection) element
+      g, tables[g][i] being the index of g(x) for the start x with index
+      i; with translations enabled, of g(x) - g(0), the image recentred
+      so that the origin is fixed;
     - shifts[a][o][x] = ((x - o) mod n_a) * stride_a, so a start x
       translated by -o has index sum_a shifts[a][o_a][x_a].
 
     Each table is the row-major sum of d rows, one per source axis
-    sigma[a]: row[x] = (reflected or plain x) * stride_a.
+    sigma[a]: row[x] = (f(x) - f(0)) mod n_a * stride_a for f the plain
+    or reflected coordinate, with f(0) taken as 0 without translations.
     """
     d = spec.dimension
     sizes = spec.cell_sizes
     strides = row_major_strides(sizes)
-    coords = list(product(*(range(n) for n in sizes)))
     perms = _axis_permutations(spec) if permute else [tuple(range(d))]
     flips = list(product((False, True), repeat=d)) if reflections else [(False,) * d]
-    images = []
+    tables = []
     for sigma in perms:
         for flip in flips:
             rows = [()] * d
             for a in range(d):
                 n, q, st = sizes[a], spec.q[a], strides[a]
                 xs = [(-x - q) % n for x in range(n)] if flip[a] else range(n)
-                rows[sigma[a]] = [x * st for x in xs]
+                x0 = xs[0] if translate else 0
+                rows[sigma[a]] = [(x - x0) % n * st for x in xs]
             table = [0]
             for row in rows:
                 table = [t + r for t in table for r in row]
-            images.append(tuple(table))
+            tables.append(tuple(table))
     shifts = tuple(
         tuple(tuple(((x - o) % n) * st for x in range(n)) for o in range(n))
         for n, st in zip(sizes, strides)
     )
-    return coords, strides, images, shifts
+    return tables, shifts
 
 
 def _translated(cols, shifts, origin) -> tuple[int, ...]:
-    """Sorted indices of the starts given as per-axis coordinate columns
-    `cols`, translated by -origin."""
+    """Indices of the starts given as per-axis coordinate columns `cols`,
+    translated by -origin."""
     getters = [shift[o].__getitem__ for shift, o in zip(shifts, origin)]
-    return tuple(sorted(map(sum, zip(*map(map, getters, cols)))))
+    return tuple(map(sum, zip(*map(map, getters, cols))))
 
 
-def _image_columns(spec: TorusSpec, starts, symmetry: frozenset[str]):
-    """The group tables of `spec`, and the image of `starts` under each
-    (axis permutation, reflection) element as per-axis columns."""
-    coords, strides, images, shifts = _group(
-        spec, "permute" in symmetry, "reflect" in symmetry
+def _translates(spec: TorusSpec, starts, symmetry: frozenset[str], origins):
+    """The group tables under `symmetry` and the indices of `starts`
+    translated by -o for each o in `origins` (the zero vector alone
+    without translations)."""
+    translate = "translate" in symmetry
+    tables, shifts = _group(
+        spec, "permute" in symmetry, "reflect" in symmetry, translate
     )
-    idx = _indices(starts, strides)
-    columns = [list(zip(*(coords[image[i]] for i in idx))) for image in images]
-    return coords, shifts, columns
+    cols = list(zip(*starts))
+    origins = origins if translate else [(0,) * spec.dimension]
+    return tables, [_translated(cols, shifts, o) for o in origins]
 
 
 def _indices(cells, strides) -> list[int]:
@@ -183,26 +189,28 @@ def _tiling(spec: TorusSpec, indices: Iterable[int]) -> TorusTiling:
 def _origin_images(
     spec: TorusSpec, starts, symmetry: frozenset[str]
 ) -> set[tuple[int, ...]]:
-    """Sorted index tuples of the images of the tiling with `starts`: each
-    (axis permutation, reflection) element, followed, with translations
-    enabled, by every translation that brings one of the image's cubes to
-    the origin.  These are the orbit elements that contain the cube at the
-    origin, so they hold the orbit's least element: its sorted start list
-    begins with the all-zero start.
+    """Sorted index tuples of the images of the tiling T with `starts`:
+    each (axis permutation, reflection) element g, followed, with
+    translations enabled, by every translation that brings one of the
+    image's cubes to the origin.  These are the orbit elements that
+    contain the cube at the origin, so they hold the orbit's least
+    element: its sorted start list begins with the all-zero start.
 
-    An image whose translate by its first start s is already marked is
-    skipped: that translate is J - t for a marked image J and a start t
-    of J, so the image is J + s - t and has J's origin translates.
+    g is affine, so g(T) translated by -g(s) is the recentred table's
+    image of T - s: T is translated once to each of its own starts, and
+    every image is a table lookup.  An element whose image of T - s, for
+    the first start s, is already marked is skipped: that image is J - t
+    for a marked image J and a start t of J, so g(T) is a translate of J
+    and has J's origin translates.
     """
-    _, shifts, columns = _image_columns(spec, starts, symmetry)
-    zero = (0,) * spec.dimension
+    tables, (first, *rest) = _translates(spec, starts, symmetry, starts)
     images: set[tuple[int, ...]] = set()
-    for cols in columns:
-        origins = iter(zip(*cols) if "translate" in symmetry else [zero])
-        first = _translated(cols, shifts, next(origins))
-        if first not in images:
-            images.add(first)
-            images.update(_translated(cols, shifts, o) for o in origins)
+    for table in tables:
+        get = table.__getitem__
+        image = tuple(sorted(map(get, first)))
+        if image not in images:
+            images.add(image)
+            images.update(tuple(sorted(map(get, idx))) for idx in rest)
     return images
 
 
@@ -226,12 +234,16 @@ def orbit(
 ) -> set[TorusTiling]:
     """All distinct images of t under the enabled symmetry group, through
     the same tables as canonical_form: every (axis permutation,
-    reflection) element followed by every translation of the grid."""
+    reflection) element followed by every translation of the grid.  With
+    translations the recentred table's images of the translates T - v,
+    over every cell v, are the translates g(T) - g(v) of g(T)."""
     require_valid(t)
-    coords, shifts, columns = _image_columns(t.spec, t.starts, symmetry)
-    origins = coords if "translate" in symmetry else [(0,) * t.spec.dimension]
+    cells = product(*(range(n) for n in t.spec.cell_sizes))
+    tables, translates = _translates(t.spec, t.starts, symmetry, cells)
     images = {
-        _translated(cols, shifts, origin) for cols in columns for origin in origins
+        tuple(sorted(map(table.__getitem__, idx)))
+        for table in tables
+        for idx in translates
     }
     return {_tiling(t.spec, c) for c in images}
 
@@ -242,18 +254,9 @@ def orbit(
 def _tables(spec: TorusSpec):
     """Per-spec placement tables: cube masks for every start and, per cell,
     the placements whose lowest cell it is: the search branches on the lowest
-    uncovered cell, so a cube reaching below it would overlap the cover.
-    A cube's mask is the row-major product of its cyclic arcs on each axis;
-    torus.cube_cells is the cell-by-cell oracle."""
-    sizes = spec.cell_sizes
-    masks: dict[tuple[int, ...], int] = {(): 1}
-    for n, q in zip(sizes, spec.q):
-        arcs = [mask_of((x + r) % n for r in range(q)) for x in range(n)]
-        masks = {
-            s + (x,): extend_mask(bits, arc, n)
-            for s, bits in masks.items()
-            for x, arc in enumerate(arcs)
-        }
+    uncovered cell, so a cube reaching below it would overlap the cover."""
+    cells = product(*(range(n) for n in spec.cell_sizes))
+    masks = {s: cube_mask(spec, s) for s in cells}
     n_cells = spec.n_cells
     cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
     for s, bits in masks.items():

@@ -9,22 +9,23 @@ Multipiles are exactly the families attaining c(G) = |G| - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from .boxes import (
     BlockRef,
     Box,
     BoxFamily,
-    CStats,
     PartitionStatus,
+    _block_shadows,
+    _hidden_status,
+    _shadow_mask,
     c_stats,
     classify_partition,
     is_laminated,
     require_keller,
-    restrict_to_block,
 )
 from .errors import DisjointnessError, IllFormedTreeError
-from .partitions import PartitionSystem
+from .partitions import PartitionSystem, elems_of
 
 
 @dataclass(frozen=True)
@@ -48,79 +49,107 @@ class MultipileResult:
     tree: Optional[MultipileTree] = None
 
 
-def _candidate_laminations(G: BoxFamily) -> list[tuple[int, int]]:
-    """(axis, partition) pairs that laminate G, axis-ascending.  A
-    lamination partition holds every box's factor on its axis, so on each
-    axis only the first box's partition need be tried."""
-    out = []
-    for axis in range(G.system.dimension):
-        f = G.boxes[0].factors[axis]
-        if f is not None and is_laminated(G, axis, f.partition):
-            out.append((axis, f.partition))
-    return out
-
-
-def _recognize(
-    G: BoxFamily, memo: dict[frozenset[Box], MultipileResult]
-) -> MultipileResult:
-    key = frozenset(G.boxes)
-    if key in memo:
-        return memo[key]
-    if len(G) == 1:
-        result = MultipileResult(True, Leaf(G.boxes[0]))
-        memo[key] = result
-        return result
-    result = MultipileResult(False)
-    # G is Keller and laminated, so it is a pile exactly where p is hidden
-    for axis, p in _candidate_laminations(G):
-        if classify_partition(G, axis, p) is not PartitionStatus.HIDDEN:
-            continue
-        part = G.system.partition(axis, p)
-        children = []
-        child_stats = []
-        ok = True
-        for b in range(part.n_blocks):
-            sub = restrict_to_block(G, axis, p, b)
-            if sub.is_empty:
-                ok = False
-                break
-            sub_result = _recognize(sub, memo)
-            if not sub_result.verdict:
-                ok = False
-                break
-            children.append(sub_result.tree)
-            child_stats.append(c_stats(sub))
-        if not ok:
-            continue
-        if _hidden_clash(child_stats, axis) is None:
-            result = MultipileResult(True, Node(axis, p, tuple(children)))
-            break
-    memo[key] = result
-    return result
-
-
-def _hidden_clash(child_stats: Sequence[CStats], axis: int) -> Optional[int]:
-    """The first axis other than `axis` on which two children hide the same
-    partition, or None when their hidden sets are pairwise disjoint."""
-    for k in range(len(child_stats[0].hidden)):
-        if k == axis:
-            continue
-        seen: set[int] = set()
-        for st in child_stats:
-            if seen & st.hidden[k]:
-                return k
-            seen |= st.hidden[k]
-    return None
-
-
 def is_multipile(G: BoxFamily) -> MultipileResult:
     """Decide whether G is a multipile; on success return a witness tree.
 
-    Candidates are tried axis-ascending then partition-ascending, so the
-    returned witness is deterministic.
+    Candidates are tried axis-ascending.  A lamination partition holds
+    every box's factor on its axis, so on each axis only the first box's
+    partition can laminate, and the returned witness is deterministic.
+    A family with no hidden lamination is refused before the recursion's
+    tables are built.
     """
     require_keller(G)
-    return _recognize(G, {})
+    if len(G) > 1 and not any(
+        is_laminated(G, axis, f.partition) and G._hidden[axis][f.partition]
+        for axis, f in enumerate(G.boxes[0].factors)
+        if f is not None
+    ):
+        return MultipileResult(False)
+    return _recognize(G)
+
+
+def _recognize(G: BoxFamily) -> MultipileResult:
+    """The recursion over subfamilies of G, as bit masks over its boxes,
+    memoized per mask.  A subfamily of a Keller family is Keller, so none
+    is checked again; its partition-status table is built from per-box
+    shadows computed once, and G's own is G._hidden."""
+    families = G.system.families
+    # per axis: the mask of the boxes on each block, and each box's
+    # (factor, shadow) pair, None for a full-axis factor
+    blocks: list[dict[BlockRef, int]] = [{} for _ in families]
+    shadows: list[list] = [[] for _ in families]
+    for i, K in enumerate(G.boxes):
+        for axis, f in enumerate(K.factors):
+            if f is not None:
+                blocks[axis][f] = blocks[axis].get(f, 0) | 1 << i
+            shadows[axis].append(None if f is None else (f, _shadow_mask(K, axis)))
+    full = (1 << len(G)) - 1
+    tables = {full: G._hidden}
+    memo: dict[int, MultipileResult] = {}
+
+    def table(mask: int) -> tuple[dict[int, bool], ...]:
+        if mask not in tables:
+            members = elems_of(mask)
+            tables[mask] = tuple(
+                _hidden_status(_block_shadows(
+                    parts, filter(None, map(pairs.__getitem__, members))
+                ))
+                for parts, pairs in zip(families, shadows)
+            )
+        return tables[mask]
+
+    def node(mask: int, axis: int, p: int) -> Optional[Node]:
+        subs = [
+            mask & blocks[axis].get(BlockRef(p, b), 0)
+            for b in range(families[axis][p].n_blocks)
+        ]
+        # laminated by p and hidden: a pile, so no block is empty
+        if sum(subs) != mask or not table(mask)[axis][p]:
+            return None
+        children = []
+        for sub in subs:
+            child = result(sub)
+            if not child.verdict:
+                return None
+            children.append(child.tree)
+        hidden = [[{q for q, h in t.items() if h} for t in table(sub)] for sub in subs]
+        if _hidden_clash(hidden, axis) is not None:
+            return None
+        return Node(axis, p, tuple(children))
+
+    def result(mask: int) -> MultipileResult:
+        if mask not in memo:
+            first = G.boxes[(mask & -mask).bit_length() - 1]
+            if mask & (mask - 1) == 0:
+                memo[mask] = MultipileResult(True, Leaf(first))
+            else:
+                nodes = (
+                    node(mask, axis, f.partition)
+                    for axis, f in enumerate(first.factors)
+                    if f is not None
+                )
+                found = next(filter(None, nodes), None)
+                memo[mask] = MultipileResult(found is not None, found)
+        return memo[mask]
+
+    return result(full)
+
+
+def _hidden_clash(
+    child_hidden: Sequence[Sequence[Collection[int]]], axis: int
+) -> Optional[int]:
+    """The first axis other than `axis` on which two children hide the same
+    partition, or None when their hidden sets, given per child and axis,
+    are pairwise disjoint."""
+    for k in range(len(child_hidden[0])):
+        if k == axis:
+            continue
+        seen: set[int] = set()
+        for hidden in child_hidden:
+            if seen & hidden[k]:
+                return k
+            seen |= hidden[k]
+    return None
 
 
 def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
@@ -153,7 +182,9 @@ def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
         raise IllFormedTreeError(
             "sibling subtrees realize different shadows; the node is not a pile"
         )
-    clash = _hidden_clash([c_stats(fam) for fam in child_families], tree.axis)
+    clash = _hidden_clash(
+        [c_stats(fam).hidden for fam in child_families], tree.axis
+    )
     if clash is not None:
         raise DisjointnessError(
             f"sibling subtrees both hide a partition on axis {clash}"

@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .boxes import BlockRef, Box, BoxFamily
+from .boxes import BlockRef, Box, BoxFamily, extend_mask
 from .errors import (
     InvalidTilingError,
     NonUniformTorusError,
@@ -68,7 +68,7 @@ class TorusSpec:
         return len(set(self.m)) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusTiling:
     spec: TorusSpec
     starts: tuple[tuple[int, ...], ...]
@@ -123,10 +123,29 @@ def find_defect(t: TorusTiling) -> Optional[tuple[int, ...]]:
     return None
 
 
+def cube_mask(spec: TorusSpec, start: Sequence[int]) -> int:
+    """Bit mask, row-major over the cells, of the unit cube at `start`: the
+    product of its cyclic arcs; cube_cells is the cell-by-cell oracle."""
+    mask = 1
+    for x, n, q in zip(start, spec.cell_sizes, spec.q):
+        arc = ((1 << q) - 1) << x
+        mask = extend_mask(mask, (arc | arc >> n) & ((1 << n) - 1), n)
+    return mask
+
+
 def validate_tiling(t: TorusTiling) -> bool:
-    if len(t.starts) != t.spec.n_cubes:
+    """One start per cube, and cube masks that cover every cell without
+    overlap.  find_defect is the cell-by-cell oracle that names a defect."""
+    spec = t.spec
+    if len(t.starts) != spec.n_cubes:
         return False
-    return find_defect(t) is None
+    cover = 0
+    for s in t.starts:
+        bits = cube_mask(spec, s)
+        if cover & bits:
+            return False
+        cover |= bits
+    return cover == (1 << spec.n_cells) - 1
 
 
 def require_valid(t: TorusTiling) -> None:
@@ -162,20 +181,30 @@ def to_box_family(t: TorusTiling) -> BoxFamily:
 
     The cube at start s occupies, on axis i, the arc of partition
     pi_{s_i mod q_i} that starts at cell s_i.  Every family of one spec
-    shares the system tiling_system(t.spec).  A valid tiling always maps
-    to a Keller family.
+    shares the system tiling_system(t.spec), and reads each start's
+    factors from the spec's table _start_factors.  A valid tiling always
+    maps to a Keller family.
     """
     require_valid(t)
     system = tiling_system(t.spec)
-    boxes = []
-    for s in t.starts:
-        factors = []
-        for axis, (v, q) in enumerate(zip(s, t.spec.q)):
-            p = v % q
-            block = system.partition(axis, p).block_containing(v)
-            factors.append(BlockRef(p, block))
-        boxes.append(Box(system, tuple(factors)))
-    return BoxFamily(system, tuple(boxes))
+    rows = _start_factors(t.spec)
+    return BoxFamily(system, tuple(
+        Box(system, tuple(map(tuple.__getitem__, rows, s))) for s in t.starts
+    ))
+
+
+@lru_cache(maxsize=16)
+def _start_factors(spec: TorusSpec) -> tuple[tuple[BlockRef, ...], ...]:
+    """Per axis, the factor of the cube starting at each coordinate v: the
+    block of partition v mod q that holds v."""
+    system = tiling_system(spec)
+    return tuple(
+        tuple(
+            BlockRef(v % q, system.partition(axis, v % q).block_containing(v))
+            for v in range(n)
+        )
+        for axis, (n, q) in enumerate(zip(spec.cell_sizes, spec.q))
+    )
 
 
 @dataclass(frozen=True)

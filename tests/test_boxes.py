@@ -28,7 +28,6 @@ from kellerpack import (
     realize,
     realize_box,
     restrict,
-    restrict_to_block,
     restrict_to_partition,
     theorem_b_report,
     to_box_family,

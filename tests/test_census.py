@@ -1,6 +1,6 @@
 import importlib
 from collections import Counter
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -21,7 +21,6 @@ from kellerpack.census import (
     _axis_permutations,
     _group,
     _group_order,
-    _image_columns,
     _origin_images,
     _search,
     _tables,
@@ -118,10 +117,9 @@ class TestCanonicalForm:
         assert len(_axis_permutations(TorusSpec((2, 2), (2, 2)))) == 2
 
 
-def reference_canonical_form(t, symmetry):
-    """Least start tuple over the group, applied one element at a time
-    through the object-level translate/permute_axes/reflect."""
-    spec = t.spec
+def reference_elements(spec, symmetry):
+    """(axis permutation, reflected axes) of each element enabled by
+    `symmetry`, in the order of _group's tables."""
     d = spec.dimension
     keys = list(zip(spec.m, spec.q))
     perms = [
@@ -130,24 +128,40 @@ def reference_canonical_form(t, symmetry):
         if "permute" in symmetry or sigma == tuple(range(d))
         if all(keys[sigma[i]] == keys[i] for i in range(d))
     ]
-    refls = (
-        list(chain.from_iterable(combinations(range(d), k) for k in range(d + 1)))
-        if "reflect" in symmetry
-        else [()]
-    )
-    best = None
-    for sigma in perms:
-        for axes in refls:
-            image = reflect(permute_axes(t, sigma), axes)
-            if "translate" in symmetry:
-                shifts = [tuple(-x for x in s) for s in image.starts]
-            else:
-                shifts = [(0,) * d]
-            for v in shifts:
-                cand = translate(image, v).starts
-                if best is None or cand < best:
-                    best = cand
-    return TorusTiling(spec, best)
+    flips = [(False,) * d]
+    if "reflect" in symmetry:
+        flips = list(product((False, True), repeat=d))
+    return [
+        (sigma, [a for a in range(d) if flip[a]]) for sigma in perms for flip in flips
+    ]
+
+
+def act(t, element):
+    """The image of t under one element, through the object-level
+    permute_axes and reflect."""
+    sigma, axes = element
+    return reflect(permute_axes(t, sigma), axes)
+
+
+def reference_origin_images(t, symmetry):
+    """Start tuples of every element's image of t translated, with
+    translate, to each of its cubes (left in place without translations),
+    one object-level element at a time."""
+    d = t.spec.dimension
+    for element in reference_elements(t.spec, symmetry):
+        image = act(t, element)
+        if "translate" in symmetry:
+            shifts = [tuple(-x for x in s) for s in image.starts]
+        else:
+            shifts = [(0,) * d]
+        for v in shifts:
+            yield translate(image, v).starts
+
+
+def reference_canonical_form(t, symmetry):
+    """Least start tuple over the group, applied one element at a time
+    through the object-level translate/permute_axes/reflect."""
+    return TorusTiling(t.spec, min(reference_origin_images(t, symmetry)))
 
 
 SYMMETRY_SUBSETS = [
@@ -175,18 +189,6 @@ class TestCanonicalFormOracle:
                 assert canonical_form(t, symmetry) == reference_canonical_form(
                     t, symmetry
                 ), (sorted(symmetry), t.starts)
-
-
-def unpruned_origin_images(spec, starts, symmetry):
-    """Every (axis permutation, reflection) image translated to each of its
-    cubes, one _translated call per pair, with no class skipped."""
-    _, shifts, columns = _image_columns(spec, starts, symmetry)
-    zero = [(0,) * spec.dimension]
-    return {
-        _translated(cols, shifts, origin)
-        for cols in columns
-        for origin in (zip(*cols) if "translate" in symmetry else zero)
-    }
 
 
 def per_coordinate_images(spec, permute, reflections):
@@ -221,20 +223,52 @@ ORBIT_GRIDS = [
 
 
 class TestGroupTables:
-    """The per-axis-row tables and the per-class orbit walk against their
-    per-coordinate and unpruned formulas."""
+    """The per-axis-row tables and the pruned orbit walk against the
+    per-coordinate formula and the object-level action."""
 
     @pytest.mark.parametrize("m,q", ORBIT_GRIDS)
     def test_origin_images_match_unpruned(self, m, q):
+        # every element translated to every cube of its image, object by
+        # object, against the pruned walk over the recentred tables
         spec = TorusSpec(m, q)
+        strides = row_major_strides(spec.cell_sizes)
         origin = (0,) * spec.dimension
         tilings = [t for t in enumerate_all_tilings(spec) if t.starts[0] == origin]
         assert tilings
         for symmetry in SYMMETRY_SUBSETS:
             for t in tilings:
-                assert _origin_images(spec, t.starts, symmetry) == (
-                    unpruned_origin_images(spec, t.starts, symmetry)
-                ), (sorted(symmetry), t.starts)
+                assert _origin_images(spec, t.starts, symmetry) == {
+                    tuple(sum(x * st for x, st in zip(s, strides)) for s in starts)
+                    for starts in reference_origin_images(t, symmetry)
+                }, (sorted(symmetry), t.starts)
+
+    @pytest.mark.parametrize("m,q", ORBIT_GRIDS + [((2, 2, 2, 2), (1, 2, 1, 2))])
+    @pytest.mark.parametrize("translate_on", [False, True])
+    def test_tables_match_object_action(self, m, q, translate_on):
+        # entry i of an element's table is the index of its image of the
+        # start with index i, translated back by its image of the origin
+        # when translations are on
+        spec = TorusSpec(m, q)
+        strides = row_major_strides(spec.cell_sizes)
+        origin = (0,) * spec.dimension
+
+        def image(element, start, back):
+            (s,) = translate(act(TorusTiling(spec, (start,)), element), back).starts
+            return sum(x * st for x, st in zip(s, strides))
+
+        cells = list(product(*(range(n) for n in spec.cell_sizes)))
+        for permute, reflections in product((False, True), repeat=2):
+            symmetry = {
+                name for name, on in (("permute", permute), ("reflect", reflections))
+                if on
+            }
+            tables = _group(spec, permute, reflections, translate_on)[0]
+            elements = reference_elements(spec, symmetry)
+            assert len(tables) == len(elements)
+            for table, element in zip(tables, elements):
+                (g0,) = act(TorusTiling(spec, (origin,)), element).starts
+                back = tuple(-x for x in g0) if translate_on else origin
+                assert table == tuple(image(element, c, back) for c in cells)
 
     @pytest.mark.parametrize("m,q", ORBIT_GRIDS + [((2, 2, 2, 2), (1, 2, 1, 2))])
     @pytest.mark.parametrize(
@@ -242,20 +276,19 @@ class TestGroupTables:
     )
     def test_images_match_per_coordinate_formula(self, m, q, permute, reflections):
         spec = TorusSpec(m, q)
-        images = _group(spec, permute, reflections)[2]
+        images = _group(spec, permute, reflections, False)[0]
         assert images == per_coordinate_images(spec, permute, reflections)
         symmetry = frozenset(
             name for name, on in (("permute", permute), ("reflect", reflections)) if on
         )
         assert len(images) == _group_order(spec, symmetry)
 
-    @pytest.mark.parametrize(
-        "q,orbits,classes", [((2, 2, 2), 9, 32), ((4, 4, 4), 55, 508)]
-    )
-    def test_translated_once_per_class_and_cube(self, monkeypatch, q, orbits, classes):
-        # one call per orbit and element for its first translate, and one
-        # per further cube of each new translation class, against 48 x 8 =
-        # 384 per orbit when every element is translated to every cube
+    @pytest.mark.parametrize("q,orbits", [((2, 2, 2), 9), ((4, 4, 4), 55)])
+    def test_translated_once_per_class_and_cube(self, monkeypatch, q, orbits):
+        # one call per orbit and start of its first raw tiling: the
+        # recentred tables take each translate to all 48 elements' images,
+        # against 48 x 8 = 384 calls per orbit when every element is
+        # translated to every cube
         counted = []
 
         def counting(*args):
@@ -264,7 +297,7 @@ class TestGroupTables:
 
         monkeypatch.setattr(CENSUS_MODULE, "_translated", counting)
         assert census(TorusSpec((2, 2, 2), q)).tilings_total == orbits
-        assert len(counted) == orbits * 48 + classes * 7
+        assert len(counted) == orbits * 8
 
 
 class TestGroupBudget:

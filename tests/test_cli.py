@@ -143,6 +143,26 @@ class TestValidate:
         assert payload["valid"] is False
         assert payload["defect_cell"] is not None
 
+    @pytest.mark.parametrize(
+        "starts,cell",
+        [
+            ([[0, 0], [0, 1], [2, 1], [2, 3]], [0, 1]),
+            ([[0, 0], [0, 2], [2, 1]], [2, 0]),
+            ([[0, 0], [0, 2], [2, 1], [2, 3], [1, 1]], [1, 1]),
+            ([[0, 0], [0, 2], [2, 1], [2, 1]], [2, 1]),
+        ],
+        ids=["overlap", "gap", "extra", "duplicate"],
+    )
+    def test_defect_cell_and_analyze_message(self, tmp_path, capsys, starts, cell):
+        path = write(tmp_path, "t.json", {"m": [2, 2], "q": [2, 2], "starts": starts})
+        code, out = run(capsys, ["validate", path])
+        assert code == 1
+        assert json.loads(out)["defect_cell"] == cell
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid tiling, defect {tuple(cell)}\n"
+
     def test_valid_family(self, tmp_path, capsys):
         path = write(tmp_path, "g.json", family_to_obj(to_box_family(LAMINATED)))
         code, out = run(capsys, ["validate", path])

@@ -1,5 +1,7 @@
+import hashlib
+import json
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -19,6 +21,8 @@ from kellerpack import (
     realize,
     to_box_family,
 )
+from kellerpack.acceptance import _census_families
+from kellerpack.boxes import keller_families
 from kellerpack.errors import DisjointnessError, IllFormedTreeError, NotKellerError
 from kellerpack.serialization import tree_from_obj, tree_to_obj
 
@@ -68,6 +72,33 @@ class TestIsMultipile:
         L = Box(sys222, (BlockRef(1, 0), BlockRef(1, 0)))
         with pytest.raises(NotKellerError):
             is_multipile(BoxFamily(sys222, (K, L)))
+
+
+# sha256 of the JSON list of [verdict, tree_to_obj(tree) or None] over the
+# 72 census families and every Keller family of arc_system(2,2,2), (2,1,3)
+# and (3,2,2), as the recognizer over BoxFamily restrictions returned them
+RECOGNIZER_DIGEST = "65dca59ed2dea47c6296a7db4e03fda790d787ff4f1ac7550ee21201140c4f3f"
+
+
+def test_recognizer_verdicts_and_trees_are_pinned():
+    families = list(chain(
+        _census_families(),
+        (
+            G
+            for n, q, d in [(2, 2, 2), (2, 1, 3), (3, 2, 2)]
+            for G in keller_families(arc_system(n, q, d))
+        ),
+    ))
+    results = [is_multipile(G) for G in families]
+    pairs = [
+        [r.verdict, None if r.tree is None else tree_to_obj(r.tree)] for r in results
+    ]
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert (len(families), sum(r.verdict for r in results)) == (16_690, 331)
+    assert digest == RECOGNIZER_DIGEST
+    for G, r in zip(families, results):
+        if r.verdict:
+            assert set(build_multipile(G.system, r.tree).boxes) == set(G.boxes)
 
 
 class TestBuildMultipile:

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,7 @@ from kellerpack.errors import (
     RecipeError,
 )
 from kellerpack.serialization import tiling_from_obj, tiling_to_obj
+from kellerpack.torus import _start_factors, require_valid
 
 
 GRID = TorusTiling(TorusSpec((2, 2), (2, 2)), ((0, 0), (0, 2), (2, 0), (2, 2)))
@@ -125,6 +127,71 @@ class TestValidate:
         assert validate_tiling(t)
 
 
+def oracle_valid(t):
+    return len(t.starts) == t.spec.n_cubes and find_defect(t) is None
+
+
+def variants(t, k):
+    """t with its k-th start moved by +1 on each axis in turn, dropped and
+    duplicated."""
+    sizes = t.spec.cell_sizes
+    s = t.starts[k]
+    rest = t.starts[:k] + t.starts[k + 1:]
+    for axis, n in enumerate(sizes):
+        moved = s[:axis] + ((s[axis] + 1) % n,) + s[axis + 1:]
+        yield TorusTiling(t.spec, rest + (moved,))
+    yield TorusTiling(t.spec, rest)
+    yield TorusTiling(t.spec, t.starts + (s,))
+
+
+class TestMaskValidation:
+    """validate_tiling ORs cube masks; find_defect walks the cells."""
+
+    @pytest.mark.parametrize(
+        "m,q", [((2, 2), (4, 4)), ((3, 3), (3, 3)), ((2, 2, 2), (2, 2, 2))]
+    )
+    def test_matches_find_defect_on_tilings_and_their_variants(self, m, q):
+        tilings = enumerate_all_tilings(TorusSpec(m, q))
+        assert tilings
+        for i, t in enumerate(tilings):
+            assert validate_tiling(t) and oracle_valid(t)
+            for bad in variants(t, i % len(t.starts)):
+                assert (validate_tiling(bad), oracle_valid(bad)) == (False, False), (
+                    bad.starts
+                )
+
+    @pytest.mark.parametrize(
+        "starts,cell",
+        [
+            (((0, 0), (0, 1), (2, 1), (2, 3)), (0, 1)),  # overlap
+            (((0, 0), (0, 2), (2, 1)), (2, 0)),  # one cube short
+            (((0, 0), (0, 2), (2, 1), (2, 1)), (2, 1)),  # duplicate
+            (((0, 0), (0, 2), (2, 1), (2, 3), (1, 1)), (1, 1)),  # one too many
+            (((0, 0), (0, 2), (2, 1), (3, 3)), (0, 3)),
+        ],
+    )
+    def test_require_valid_names_the_defect(self, starts, cell):
+        t = TorusTiling(LAMINATED.spec, starts)
+        assert not validate_tiling(t)
+        assert find_defect(t) == cell
+        with pytest.raises(InvalidTilingError) as info:
+            require_valid(t)
+        assert str(info.value) == f"not a tiling; defect at {cell}"
+
+    def test_large_grid_validates_in_little_memory(self):
+        # 160,000 cells: one mask per start would hold O(n_cells^2) bits
+        spec = TorusSpec((2, 2), (200, 200))
+        t = TorusTiling(spec, ((0, 0), (0, 200), (200, 7), (200, 207)))
+        tracemalloc.start()
+        try:
+            assert validate_tiling(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert not validate_tiling(TorusTiling(spec, t.starts[:3] + ((201, 207),)))
+
+
 class TestStartMemo:
     """Each start's range check runs once per spec; a failing tiling adds
     nothing to the memo."""
@@ -211,6 +278,17 @@ class TestTheoremC:
 
 
 class TestBridge:
+    @pytest.mark.parametrize("m,q", [((2, 2), (2, 2)), ((2, 3), (6, 4)), ((3, 2, 2), (1, 2, 3))])
+    def test_start_factors_hold_each_coordinate(self, m, q):
+        spec = TorusSpec(m, q)
+        system = tiling_system(spec)
+        rows = _start_factors(spec)
+        assert [len(row) for row in rows] == list(spec.cell_sizes)
+        for axis, row in enumerate(rows):
+            for v, (p, block) in enumerate(row):
+                assert p == v % spec.q[axis]
+                assert system.partition(axis, p).blocks[block] >> v & 1
+
     def test_grid_c_stats(self):
         G = to_box_family(GRID)
         assert c_stats(G).c_total == 2
@@ -281,6 +359,20 @@ class TestLaminatedConstruction:
     def test_extremal_recipe_needs_resolution(self):
         with pytest.raises(RecipeError):
             extremal_recipe(TorusSpec((3, 3), (2, 2)), (0, 1))
+
+
+def test_tiling_has_slots_and_round_trips():
+    # no instance dict: every raw tiling of an enumeration is one object
+    assert not hasattr(LAMINATED, "__dict__")
+    assert TorusTiling.__slots__ == ("spec", "starts")
+    for t in (GRID, LAMINATED, TorusTiling(TorusSpec((2, 3), (1, 2)), ())):
+        copy = pickle.loads(pickle.dumps(t))
+        assert copy is not t
+        assert copy == t and hash(copy) == hash(t) and copy.starts == t.starts
+    assert GRID != LAMINATED
+    assert len({GRID, LAMINATED, pickle.loads(pickle.dumps(GRID))}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GRID.starts = ()
 
 
 def test_tiling_json_round_trip():
