@@ -3,7 +3,10 @@
 The search is an exact-cover backtracker over the cell grid: always place
 a cube covering the lexicographically least uncovered cell.  Cover state
 is one big int; placements are precomputed masks under their lowest cell, so
-the inner loop is a bit test.  Symmetry reduction (translations, axis
+the inner loop is a bit test.  The search runs over start indices, the
+row-major numbers of the starts, and forces the last cube: with one cube
+left the uncovered cells must be its cells, so it is one dict lookup by
+mask rather than a branch.  Symmetry reduction (translations, axis
 permutations among equal axes, per-axis reflections) marks orbits: with
 translations enabled the search is restricted to tilings containing the
 cube at the origin, which meets every translation orbit, and the first
@@ -172,18 +175,17 @@ def _translates(spec: TorusSpec, starts, symmetry: frozenset[str], origins):
     return tables, [_translated(cols, shifts, o) for o in origins]
 
 
-def _indices(cells, strides) -> list[int]:
-    """Row-major indices of cells or starts."""
-    return [sum(x * st for x, st in zip(c, strides)) for c in cells]
-
-
-def _tiling(spec: TorusSpec, indices: Iterable[int]) -> TorusTiling:
-    """The tiling whose starts have the given row-major indices."""
-    sizes = spec.cell_sizes
-    strides = row_major_strides(sizes)
-    return TorusTiling(spec, tuple(
-        tuple(i // st % n for n, st in zip(sizes, strides)) for i in indices
-    ))
+def _tiling(spec: TorusSpec, cells, indices: Iterable[int]) -> TorusTiling:
+    """The tiling of `spec` whose starts are cells[i] for the ascending
+    row-major indices i in `indices`, cells being _tables(spec)[0].
+    Ascending indices name sorted starts, each a cell of the grid, so the
+    sort and range check of TorusTiling.__post_init__ are skipped."""
+    t = object.__new__(TorusTiling)
+    object.__setattr__(t, "spec", spec)
+    # tuple() over a list allocates the exact size; over a map it
+    # over-allocates and shrinks, keeping the larger pymalloc block
+    object.__setattr__(t, "starts", tuple([cells[i] for i in indices]))
+    return t
 
 
 def _origin_images(
@@ -226,7 +228,8 @@ def canonical_form(
     is the result.
     """
     require_valid(t)
-    return _tiling(t.spec, min(_origin_images(t.spec, t.starts, symmetry)))
+    images = _origin_images(t.spec, t.starts, symmetry)
+    return _tiling(t.spec, _tables(t.spec)[0], min(images))
 
 
 def orbit(
@@ -238,64 +241,71 @@ def orbit(
     translations the recentred table's images of the translates T - v,
     over every cell v, are the translates g(T) - g(v) of g(T)."""
     require_valid(t)
-    cells = product(*(range(n) for n in t.spec.cell_sizes))
+    cells = _tables(t.spec)[0]
     tables, translates = _translates(t.spec, t.starts, symmetry, cells)
     images = {
         tuple(sorted(map(table.__getitem__, idx)))
         for table in tables
         for idx in translates
     }
-    return {_tiling(t.spec, c) for c in images}
+    return {_tiling(t.spec, cells, c) for c in images}
 
 
 # --- exact-cover search -------------------------------------------------
 
 @lru_cache(maxsize=16)
 def _tables(spec: TorusSpec):
-    """Per-spec placement tables: cube masks for every start and, per cell,
-    the placements whose lowest cell it is: the search branches on the lowest
-    uncovered cell, so a cube reaching below it would overlap the cover."""
-    cells = product(*(range(n) for n in spec.cell_sizes))
-    masks = {s: cube_mask(spec, s) for s in cells}
-    n_cells = spec.n_cells
-    cands: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n_cells)]
-    for s, bits in masks.items():
-        cands[(bits & -bits).bit_length() - 1].append((s, bits))
-    return n_cells, masks, cands
+    """Per-spec placement tables over the starts numbered in row-major
+    order: the starts, their cube masks, per cell the (index, mask)
+    placements whose lowest cell it is, and each mask's index.  The search
+    branches on the lowest uncovered cell, so a cube reaching below it
+    would overlap the cover."""
+    cells = tuple(product(*(range(n) for n in spec.cell_sizes)))
+    masks = tuple(cube_mask(spec, s) for s in cells)
+    cands: list[list[tuple[int, int]]] = [[] for _ in cells]
+    for i, bits in enumerate(masks):
+        cands[(bits & -bits).bit_length() - 1].append((i, bits))
+    return cells, masks, cands, {bits: i for i, bits in enumerate(masks)}
 
 
 def _search(
-    spec: TorusSpec, covered: int, placed: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    n_cells, _, cands = _tables(spec)
-    full = (1 << n_cells) - 1
+    spec: TorusSpec, covered: int, placed: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Every completion of the cover `covered` by the cubes at the start
+    indices `placed`, as index tuples in placement order; the last cube is
+    looked up by the mask of the uncovered cells."""
+    _, _, cands, last = _tables(spec)
+    full = (1 << spec.n_cells) - 1
+    final = spec.n_cubes - 1
     stack = [(covered, placed)]
+    pop, push = stack.pop, stack.append
     while stack:
-        covered, placed = stack.pop()
-        if covered == full:
-            yield placed
+        covered, placed = pop()
+        if len(placed) == final:
+            i = last.get(full ^ covered)
+            if i is not None:
+                yield placed + (i,)
             continue
-        cell = _lowest_zero(covered)
-        for s, bits in cands[cell]:
+        # the lowest zero bit of covered
+        for i, bits in cands[(covered ^ (covered + 1)).bit_length() - 1]:
             if not bits & covered:
-                stack.append((covered | bits, placed + (s,)))
-
-
-def _lowest_zero(x: int) -> int:
-    return (~x & (x + 1)).bit_length() - 1
+                push((covered | bits, placed + (i,)))
 
 
 def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list[TorusTiling]:
     """Brute-force enumeration of every tiling, no symmetry reduction.
 
     This is the slow oracle the reduced enumerator is checked against.
-    It builds one TorusTiling per raw tiling, but their range check runs
-    once per distinct start on the spec, at most n_cells times: a tiling
-    passes it iff each of its starts does (TorusTiling.__post_init__).
+    It sorts each raw tiling's start indices, then the list of index
+    tuples, which orders the tilings by their starts, and swaps each entry
+    in place for its tiling, built by _tiling with no per-tiling check.
     """
     check_budget(spec, budget)
-    found = [TorusTiling(spec, placed) for placed in _search(spec, 0, ())]
-    found.sort(key=lambda t: t.starts)
+    cells = _tables(spec)[0]
+    found = [tuple(sorted(placed)) for placed in _search(spec, 0, ())]
+    found.sort()
+    for k, indices in enumerate(found):
+        found[k] = _tiling(spec, cells, indices)
     return found
 
 
@@ -347,20 +357,16 @@ def enumerate_tilings(
     `jobs` is accepted and ignored: the search runs in one process.
     """
     check_budget(spec, budget, symmetry)
-    if "translate" in symmetry:
-        origin = (0,) * spec.dimension
-        root = (_tables(spec)[1][origin], (origin,))
-    else:
-        root = (0, ())
-    strides = row_major_strides(spec.cell_sizes)
+    cells, masks, _, _ = _tables(spec)
+    root = (masks[0], (0,)) if "translate" in symmetry else (0, ())
     seen: set[tuple[int, ...]] = set()
     representatives = []
     for placed in _search(spec, *root):
-        if tuple(sorted(_indices(placed, strides))) not in seen:
-            images = _origin_images(spec, placed, symmetry)
+        if tuple(sorted(placed)) not in seen:
+            images = _origin_images(spec, [cells[i] for i in placed], symmetry)
             seen |= images
             representatives.append(min(images))
-    return [_tiling(spec, indices) for indices in sorted(representatives)]
+    return [_tiling(spec, cells, indices) for indices in sorted(representatives)]
 
 
 # --- census -------------------------------------------------------------

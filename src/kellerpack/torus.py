@@ -44,12 +44,6 @@ class TorusSpec:
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(m * q for m, q in zip(self.m, self.q))
 
-    @cached_property
-    def _checked_starts(self) -> set[tuple[int, ...]]:
-        """Starts that some TorusTiling on this spec has held after passing
-        its range check; at most n_cells of them."""
-        return set()
-
     @property
     def n_cells(self) -> int:
         total = 1
@@ -77,14 +71,6 @@ class TorusTiling:
         canon = tuple(sorted(map(tuple, self.starts)))
         if canon != self.starts:
             object.__setattr__(self, "starts", canon)
-        # A tiling passes the range check iff each start has the spec's
-        # dimension and lies in its grid, a test of the start and the spec
-        # alone; so each start is checked once per spec, and is recorded
-        # only after its whole tiling passed, so a failing tiling records
-        # none.
-        checked = self.spec._checked_starts
-        if checked.issuperset(canon):
-            return
         sizes = self.spec.cell_sizes
         # checked once per axis column; only a failure walks the starts,
         # to name the first bad one in sorted order
@@ -97,7 +83,6 @@ class TorusTiling:
                     raise InvalidTilingError("start has wrong dimension")
                 if any(not 0 <= v < size for v, size in zip(s, sizes)):
                     raise InvalidTilingError(f"start {s} outside the torus grid")
-        checked.update(canon)
 
 
 def cube_cells(spec: TorusSpec, start: Sequence[int]):

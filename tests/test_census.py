@@ -462,13 +462,15 @@ def test_every_search_result_covers_each_cell_once():
 
 def every_cell_search(spec):
     """Reference DFS: the same branching as census._search, but over
-    candidate lists holding each placement under every cell it covers."""
-    n_cells, masks, _ = _tables(spec)
+    candidate lists holding each placement under every cell it covers,
+    branching on the last cube too."""
+    _, masks, _, _ = _tables(spec)
+    n_cells = spec.n_cells
     cands = [[] for _ in range(n_cells)]
-    for s, bits in masks.items():
+    for i, bits in enumerate(masks):
         for cell in range(n_cells):
             if bits >> cell & 1:
-                cands[cell].append((s, bits))
+                cands[cell].append((i, bits))
     full = (1 << n_cells) - 1
     stack = [(0, ())]
     while stack:
@@ -477,9 +479,9 @@ def every_cell_search(spec):
             yield placed
             continue
         cell = (covered ^ (covered + 1)).bit_length() - 1  # lowest zero bit
-        for s, bits in cands[cell]:
+        for i, bits in cands[cell]:
             if not bits & covered:
-                stack.append((covered | bits, placed + (s,)))
+                stack.append((covered | bits, placed + (i,)))
 
 
 class TestSearchTables:
@@ -488,14 +490,18 @@ class TestSearchTables:
         [((2, 3), (6, 6)), ((2, 2, 2), (2, 4, 4)), ((2, 2, 2, 2), (1, 1, 1, 2))],
     )
     def test_each_start_listed_once_under_its_lowest_cell(self, m, q):
-        n_cells, masks, cands = _tables(TorusSpec(m, q))
+        spec = TorusSpec(m, q)
+        cells, masks, cands, last = _tables(spec)
         listed = [
-            (cell, s, bits) for cell in range(n_cells) for s, bits in cands[cell]
+            (cell, i, bits) for cell in range(spec.n_cells) for i, bits in cands[cell]
         ]
-        assert sorted(s for _, s, _ in listed) == sorted(masks)
-        for cell, s, bits in listed:
-            assert bits == masks[s]
+        assert sorted(i for _, i, _ in listed) == list(range(len(cells)))
+        for cell, i, bits in listed:
+            assert bits == masks[i]
             assert cell == (bits & -bits).bit_length() - 1
+        # distinct starts have distinct masks, so the last cube is unique
+        assert last == {bits: i for i, bits in enumerate(masks)}
+        assert len(last) == len(cells)
 
     @pytest.mark.parametrize(
         "m,q,raw",
@@ -504,6 +510,10 @@ class TestSearchTables:
             ((3, 3), (9, 9), 13_041),
             ((2, 2, 2), (2, 4, 4), 35_872),
             ((2, 2, 2, 2), (1, 1, 1, 2), 256),
+            # the root or a shallow node already holds all but one cube
+            ((2,), (3,), 3),
+            ((3,), (2,), 2),
+            ((2, 2), (1, 3), 9),
         ],
     )
     def test_search_matches_every_cell_candidates_in_order(self, m, q, raw):
@@ -527,10 +537,43 @@ class TestSearchTables:
 
         spec = TorusSpec(m, q)
         strides = row_major_strides(spec.cell_sizes)
-        _, masks, _ = _tables(spec)
-        assert list(masks) == list(product(*(range(n) for n in spec.cell_sizes)))
-        for s, bits in masks.items():
+        cells, masks, _, _ = _tables(spec)
+        assert list(cells) == list(product(*(range(n) for n in spec.cell_sizes)))
+        for s, bits in zip(cells, masks, strict=True):
             expected = 0
             for cell in cube_cells(spec, s):
                 expected |= 1 << sum(x * st for x, st in zip(cell, strides))
             assert bits == expected
+
+
+class TestUncheckedBuilder:
+    """Tilings built from index tuples, skipping TorusTiling.__post_init__,
+    equal those the checked constructor builds from their starts: every
+    raw and canonical tiling, and canonical_form and orbit on at most
+    about 200 raw tilings and 10 representatives per grid."""
+
+    @pytest.mark.parametrize(
+        "m,q",
+        [
+            ((2, 3), (6, 6)),
+            ((3, 3), (9, 9)),
+            ((2, 2, 2), (2, 4, 4)),
+            ((2, 2, 2, 2), (1, 1, 1, 2)),
+            ((2,), (3,)),
+            ((3,), (2,)),
+            ((2, 2), (1, 3)),
+            ((2, 2, 2), (4, 4, 4)),
+        ],
+    )
+    def test_matches_checked_constructor(self, m, q):
+        spec = TorusSpec(m, q)
+        raw = enumerate_all_tilings(spec)
+        reps = enumerate_tilings(spec)
+        built = [raw, reps, [canonical_form(t) for t in raw[:: len(raw) // 200 + 1]]]
+        built += [orbit(t) for t in reps[:: len(reps) // 10 + 1]]
+        for tilings in built:
+            for t in tilings:
+                checked = TorusTiling(t.spec, t.starts)
+                assert type(t.starts) is tuple
+                assert all(type(s) is tuple for s in t.starts)
+                assert t == checked and hash(t) == hash(checked)

@@ -55,7 +55,6 @@ class TestSpec:
         spec = TorusSpec((2, 3), (6, 1))
         assert spec.cell_sizes == (12, 3)
         TorusTiling(spec, ((0, 0), (6, 1)))
-        assert spec._checked_starts == {(0, 0), (6, 1)}
         fresh = TorusSpec((2, 3), (6, 1))
         assert spec == fresh and hash(spec) == hash(fresh)
         assert repr(spec) == repr(fresh) == "TorusSpec(m=(2, 3), q=(6, 1))"
@@ -193,15 +192,14 @@ class TestMaskValidation:
 
 
 class TestStartMemo:
-    """Each start's range check runs once per spec; a failing tiling adds
-    nothing to the memo."""
+    """A bad start is named the same way on a fresh spec and on one that
+    valid tilings have already used."""
 
     @staticmethod
     def filled_spec():
         spec = TorusSpec((2, 2), (2, 2))
         for t in (GRID, LAMINATED):
             TorusTiling(spec, t.starts)
-        assert spec._checked_starts == set(GRID.starts) | set(LAMINATED.starts)
         return spec
 
     @pytest.mark.parametrize(
@@ -219,19 +217,10 @@ class TestStartMemo:
         with pytest.raises(InvalidTilingError) as info:
             TorusTiling(spec, starts)
         assert str(info.value) == message
-        assert spec._checked_starts == set(GRID.starts) | set(LAMINATED.starts)
         # the same tiling on a fresh spec fails the same way
         with pytest.raises(InvalidTilingError) as info:
             TorusTiling(TorusSpec((2, 2), (2, 2)), starts)
         assert str(info.value) == message
-
-    def test_enumeration_fills_memo_with_its_starts(self):
-        spec = TorusSpec((2, 2, 2), (2, 4, 4))
-        found = enumerate_all_tilings(spec)
-        assert len(found) == 35_872
-        starts = {s for t in found for s in t.starts}
-        assert spec._checked_starts == starts
-        assert len(starts) <= spec.n_cells
 
 
 class TestPParams:
