@@ -29,9 +29,11 @@ starts, and every image the orbit walk needs is a table lookup
 object-level reference the tests check the tables against.
 
 A census folds one pass over the canonical tilings, the same for uniform
-and mixed sides: p(T) and the multipile verdict per tiling, against the
-lamination value of the descending side ordering, which for equal sides
-is the proved bound (n^d - 1)/(n - 1).
+and mixed sides: each tiling is checked against the bound Theorem B
+gives it on any sides, sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with
+equality iff T is a multipile, and p(T) and the multipile verdict are
+counted against the lamination value of the descending side ordering,
+which for equal sides is the proved bound (n^d - 1)/(n - 1).
 """
 
 from __future__ import annotations
@@ -45,15 +47,14 @@ from math import factorial
 from typing import Iterable, Iterator, Optional
 
 from .boxes import row_major_strides
-from .errors import BudgetExceededError, TheoremViolationError
-from .multipiles import extremal_p_value, is_multipile
+from .errors import BudgetExceededError
+from .multipiles import extremal_p_value
 from .torus import (
     TorusSpec,
     TorusTiling,
     cube_mask,
-    p_params,
+    require_bound,
     require_valid,
-    to_box_family,
 )
 
 ALL_SYMMETRIES = frozenset({"translate", "permute", "reflect"})
@@ -354,8 +355,12 @@ def enumerate_tilings(
     tilings the search can reach, its _origin_images, and contributes
     their least, which is the canonical_form of each of them; a raw
     tiling already marked is skipped, so the group acts once per orbit.
+    With no symmetry every raw tiling is its own orbit, so the result is
+    enumerate_all_tilings(spec, budget).
     `jobs` is accepted and ignored: the search runs in one process.
     """
+    if not symmetry:
+        return enumerate_all_tilings(spec, budget)
     check_budget(spec, budget, symmetry)
     cells, masks, _, _ = _tables(spec)
     root = (masks[0], (0,)) if "translate" in symmetry else (0, ())
@@ -410,14 +415,14 @@ def census_from_tilings(
     """Fold p(T) and the multipile verdict over a list of canonical
     tilings of `spec`, one per orbit under `symmetry`.
 
-    The bound is the lamination value for the descending side ordering,
-    which for equal sides n is the proved (n^d - 1)/(n - 1).  For uniform
-    sides the bound and its equality case are asserted and any violation
-    aborts loudly; for mixed sides the bound is only conjectural, so the
-    observed maximum is reported against it, with the multipile verdict of
-    every attaining tiling recorded, and nothing is asserted.
+    Every tiling is checked by torus.require_bound, on any sides: the
+    weighted bound sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 that Theorem B
+    gives, with equality iff T is a multipile; a violation aborts loudly.
+    The row's bound is the lamination value for the descending side
+    ordering, which for equal sides n is the proved (n^d - 1)/(n - 1) and
+    for mixed sides only conjectural: the observed maximum is reported
+    against it, with the multipile verdict of every attaining tiling.
     """
-    uniform = spec.is_uniform()
     bound = extremal_p_value(
         spec.m, sorted(range(spec.dimension), key=lambda i: -spec.m[i])
     )
@@ -426,19 +431,13 @@ def census_from_tilings(
     multipile_count = 0
     attaining: list[bool] = []
     for t in tilings:
-        p_total = p_params(t).total
-        mp = is_multipile(to_box_family(t)).verdict
-        if uniform and p_total > bound:
-            raise TheoremViolationError(f"tiling {t.starts} exceeds the proved bound")
-        if uniform and (p_total == bound) != mp:
-            raise TheoremViolationError(f"equality/multipile mismatch on {t.starts}")
+        params, _, mp = require_bound(t, t.starts)
+        p_total = params.total
         hist[p_total] = hist.get(p_total, 0) + 1
         if p_total == bound:
             equality_count += 1
             attaining.append(mp)
         multipile_count += mp
-    if uniform and equality_count != multipile_count:
-        raise TheoremViolationError("equality count differs from multipile count")
     return CensusRow(
         m=spec.m,
         q=spec.q,
@@ -449,6 +448,6 @@ def census_from_tilings(
         bound=bound,
         equality_count=equality_count,
         multipile_count=multipile_count,
-        conjectural=not uniform,
+        conjectural=not spec.is_uniform(),
         attaining_multipile=tuple(attaining),
     )

@@ -58,8 +58,7 @@ from .torus import (
     TorusSpec,
     TorusTiling,
     find_defect,
-    p_params,
-    theorem_c_report,
+    require_bound,
     to_box_family,
     validate_tiling,
 )
@@ -155,47 +154,40 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     obj = _load(args.path)
+    payload: dict[str, Any] = {}
     if isinstance(obj, TorusTiling):
         if not validate_tiling(obj):
             raise InvalidTilingError(f"invalid tiling, defect {find_defect(obj)}")
-        params = p_params(obj)
-        G = to_box_family(obj)
-        stats = c_stats(G)
-        report = theorem_c_report(obj) if obj.spec.is_uniform() else None
-        multipile = report.is_multipile if report else is_multipile(G).verdict
-        if report and (not report.holds or report.equality != multipile):
-            raise TheoremViolationError(
-                f"Theorem C fails on {args.path}: p(T)={report.p_total}, "
-                f"bound={report.bound}, multipile={multipile}"
-            )
+        params, G, multipile = require_bound(obj, args.path)
+        spec = obj.spec
+        # p(T) <= (n^d - 1)/(n - 1) is proved for equal sides n only
+        bound = (spec.n_cubes - 1) // (spec.m[0] - 1) if spec.is_uniform() else None
         payload = {
             "p_per_axis": [sorted(v) for v in params.per_axis],
             "p_total": params.total,
-            "bound": report.bound if report else None,
-            "c_per_axis": list(stats.c_per_axis),
-            "c_total": stats.c_total,
-            "size": len(G),
-            "equality": report.equality if report else None,
-            "multipile": multipile,
-            "hidden_partitions": [sorted(h) for h in stats.hidden],
+            "bound": bound,
         }
     else:
-        stats = c_stats(obj)  # raises NotKellerError for a non-Keller family
-        rep = theorem_b_report(obj)
-        multipile = is_multipile(obj).verdict
-        if not rep.inequality_holds or rep.equality != multipile:
-            raise TheoremViolationError(
-                f"Theorem B fails on {args.path}: c(G)={rep.c}, "
-                f"|G|-1={rep.size - 1}, multipile={multipile}"
-            )
-        payload = {
-            "c_per_axis": list(stats.c_per_axis),
-            "c_total": stats.c_total,
-            "size": rep.size,
-            "equality": rep.equality,
-            "multipile": multipile,
-            "hidden_partitions": [sorted(h) for h in stats.hidden],
-        }
+        # Theorem B's bound |G| - 1; is_multipile raises NotKellerError
+        # for a non-Keller family
+        G, bound = obj, len(obj) - 1
+        multipile = is_multipile(G).verdict
+    stats = c_stats(G)
+    rep = theorem_b_report(G)
+    if not rep.inequality_holds or rep.equality != multipile:
+        raise TheoremViolationError(
+            f"Theorem B fails on {args.path}: c(G)={rep.c}, "
+            f"|G|-1={rep.size - 1}, multipile={multipile}"
+        )
+    payload.update(
+        c_per_axis=list(stats.c_per_axis),
+        c_total=stats.c_total,
+        size=rep.size,
+        # c(G) = (n - 1)p(T) for equal sides n, so c-equality is p-equality
+        equality=None if bound is None else rep.equality,
+        multipile=multipile,
+        hidden_partitions=[sorted(h) for h in stats.hidden],
+    )
     _emit(args, payload)
     if args.expect_equality and not payload.get("equality"):
         return EXIT_PROPERTY

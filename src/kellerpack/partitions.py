@@ -270,31 +270,19 @@ def binary_system(
     """Two-block partitions {A, U \\ A} for explicitly chosen subsets A.
 
     The full family of all two-block splits is exponential, so the caller
-    names the splits.  Choosing A or its complement yields the same
-    partition and is rejected as a duplicate.
+    names the splits.  make_partition rejects an empty or full A, and
+    PartitionSystem rejects A and its complement, which yield the same
+    partition, as a duplicate.
     """
     if len(axis_sizes) != len(chosen_splits):
         raise AxisMismatchError("one split list required per axis")
     families = []
     for size, splits in zip(axis_sizes, chosen_splits):
         full = (1 << size) - 1
-        family: list[Partition] = []
-        seen_masks: set[int] = set()
-        for split in splits:
-            a = mask_of(split)
-            if a == 0 or a == full:
-                raise EmptyBlockError("split must be a proper nonempty subset")
-            if a in seen_masks or (full & ~a) in seen_masks:
-                raise DuplicateError("split duplicates an earlier partition")
-            seen_masks.add(a)
-            p = make_partition(size, [elems_of(a), elems_of(full & ~a)])
-            for other in family:
-                if not independent(p, other):
-                    raise IndependenceError(
-                        f"splits {p.block_sets()} and {other.block_sets()} "
-                        "are not independent"
-                    )
-            family.append(p)
+        family = [
+            make_partition(size, [elems_of(a), elems_of(full & ~a)])
+            for a in map(mask_of, splits)
+        ]
         family.append(trivial_partition(size))
         families.append(tuple(family))
     return PartitionSystem(tuple(axis_sizes), tuple(families))

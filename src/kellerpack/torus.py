@@ -18,6 +18,7 @@ from .errors import (
     InvalidTilingError,
     NonUniformTorusError,
     RecipeError,
+    TheoremViolationError,
 )
 from .multipiles import extremal_p_value, is_multipile
 from .partitions import PartitionSystem, arc_system_mixed
@@ -72,17 +73,11 @@ class TorusTiling:
         if canon != self.starts:
             object.__setattr__(self, "starts", canon)
         sizes = self.spec.cell_sizes
-        # checked once per axis column; only a failure walks the starts,
-        # to name the first bad one in sorted order
-        if canon and (
-            set(map(len, canon)) != {len(sizes)}
-            or any(min(c) < 0 or max(c) >= n for c, n in zip(zip(*canon), sizes))
-        ):
-            for s in canon:
-                if len(s) != len(sizes):
-                    raise InvalidTilingError("start has wrong dimension")
-                if any(not 0 <= v < size for v, size in zip(s, sizes)):
-                    raise InvalidTilingError(f"start {s} outside the torus grid")
+        for s in canon:
+            if len(s) != len(sizes):
+                raise InvalidTilingError("start has wrong dimension")
+            if any(not 0 <= v < size for v, size in zip(s, sizes)):
+                raise InvalidTilingError(f"start {s} outside the torus grid")
 
 
 def cube_cells(spec: TorusSpec, start: Sequence[int]):
@@ -190,6 +185,29 @@ def _start_factors(spec: TorusSpec) -> tuple[tuple[BlockRef, ...], ...]:
         )
         for axis, (n, q) in enumerate(zip(spec.cell_sizes, spec.q))
     )
+
+
+def require_bound(t: TorusTiling, name) -> tuple[PParams, BoxFamily, bool]:
+    """p(T), the box family G of T and G's multipile verdict, after checking
+    the bound that Theorem B gives T, on any sides.
+
+    Every partition G uses is hidden, so c(G) = sum_i (m_i - 1)|p_i(T)|,
+    and |G| = m_1...m_d: c(G) <= |G| - 1, with equality iff G is a
+    multipile, reads sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with the
+    same equality case.  For equal sides n this is Theorem C,
+    p(T) <= (n^d - 1)/(n - 1).  A violation raises TheoremViolationError
+    naming `name`.
+    """
+    params = p_params(t)
+    G = to_box_family(t)
+    multipile = is_multipile(G).verdict
+    weighted = sum((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
+    bound = t.spec.n_cubes - 1
+    if weighted > bound:
+        raise TheoremViolationError(f"tiling {name} exceeds the proved bound")
+    if (weighted == bound) != multipile:
+        raise TheoremViolationError(f"equality/multipile mismatch on {name}")
+    return params, G, multipile
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,29 @@ class TestCensus:
         assert row.max_p <= row.bound
         assert len(row.attaining_multipile) == row.equality_count
 
+    # (m, q, tilings at the weighted bound sum_i (m_i - 1)|p_i(T)| = |G| - 1)
+    @pytest.mark.parametrize(
+        "m,q,at_bound",
+        [
+            ((2, 3), (6, 6), 6),
+            ((2, 3), (3, 6), 4),
+            ((2, 3), (6, 3), 4),
+            ((2, 3), (2, 3), 1),
+            ((2, 2, 3), (1, 2, 6), 8),
+            ((2, 2, 3), (2, 2, 3), 0),
+        ],
+    )
+    def test_mixed_sides_multipiles_attain_the_weighted_bound(self, m, q, at_bound):
+        spec = TorusSpec(m, q)
+        weighted = [
+            sum((side - 1) * len(v) for side, v in zip(m, p_params(t).per_axis))
+            for t in enumerate_tilings(spec)
+        ]
+        assert max(weighted) <= spec.n_cubes - 1
+        assert weighted.count(spec.n_cubes - 1) == at_bound
+        # census asserts the weighted bound and its equality case per tiling
+        assert census(spec).multipile_count == at_bound
+
     def test_histogram_accounts_for_every_tiling(self):
         spec = TorusSpec((2, 2), (4, 4))
         row = census(spec)
@@ -484,6 +507,19 @@ def every_cell_search(spec):
                 stack.append((covered | bits, placed + (i,)))
 
 
+# grids for the search order: (m, q, raw tiling count)
+ORDER_GRIDS = [
+    ((2, 3), (6, 6), 1_476),
+    ((3, 3), (9, 9), 13_041),
+    ((2, 2, 2), (2, 4, 4), 35_872),
+    ((2, 2, 2, 2), (1, 1, 1, 2), 256),
+    # the root or a shallow node already holds all but one cube
+    ((2,), (3,), 3),
+    ((3,), (2,), 2),
+    ((2, 2), (1, 3), 9),
+]
+
+
 class TestSearchTables:
     @pytest.mark.parametrize(
         "m,q",
@@ -503,24 +539,20 @@ class TestSearchTables:
         assert last == {bits: i for i, bits in enumerate(masks)}
         assert len(last) == len(cells)
 
-    @pytest.mark.parametrize(
-        "m,q,raw",
-        [
-            ((2, 3), (6, 6), 1_476),
-            ((3, 3), (9, 9), 13_041),
-            ((2, 2, 2), (2, 4, 4), 35_872),
-            ((2, 2, 2, 2), (1, 1, 1, 2), 256),
-            # the root or a shallow node already holds all but one cube
-            ((2,), (3,), 3),
-            ((3,), (2,), 2),
-            ((2, 2), (1, 3), 9),
-        ],
-    )
+    @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
     def test_search_matches_every_cell_candidates_in_order(self, m, q, raw):
         spec = TorusSpec(m, q)
         found = list(_search(spec, 0, ()))
         assert len(found) == raw
         assert found == list(every_cell_search(spec))
+
+    @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
+    def test_no_symmetry_enumerates_every_tiling(self, m, q, raw):
+        # with the identity alone every raw tiling is its own orbit
+        spec = TorusSpec(m, q)
+        tilings = enumerate_tilings(spec, frozenset())
+        assert len(tilings) == raw
+        assert tilings == enumerate_all_tilings(spec)
 
     @pytest.mark.parametrize(
         "m,q",

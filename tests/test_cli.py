@@ -286,15 +286,19 @@ class TestCensusCommand:
         assert payload["config"]["m"] == "2,2"
 
     def test_failed_bound_exits_4(self, monkeypatch, capsys):
-        # the module, not the census function that kellerpack exports
-        census_module = importlib.import_module("kellerpack.census")
-        bound = census_module.extremal_p_value
+        # the laminated tiling attains the bound, so a recognizer that
+        # rejects it contradicts the equality case; the grid does not
         monkeypatch.setattr(
-            census_module, "extremal_p_value", lambda m, order: bound(m, order) - 1
+            importlib.import_module("kellerpack.torus"),
+            "is_multipile",
+            lambda G: MultipileResult(False),
         )
         code = main(["census", "--m", "2,2", "--q", "2,2"])
-        assert_theorem_violation(
-            code, capsys.readouterr(), "on ((0, 0), (0, 2), (2, 0), (2, 2))"
+        captured = capsys.readouterr()
+        assert_theorem_violation(code, captured, f"on {LAMINATED.starts}")
+        assert captured.err == (
+            "theorem violation (library bug): equality/multipile mismatch on "
+            "((0, 0), (0, 2), (2, 1), (2, 3))\n"
         )
 
 

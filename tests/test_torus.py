@@ -9,6 +9,7 @@ from kellerpack import (
     TorusTiling,
     c_stats,
     enumerate_all_tilings,
+    enumerate_tilings,
     extremal_p_value,
     extremal_recipe,
     find_defect,
@@ -283,15 +284,28 @@ class TestBridge:
         assert c_stats(G).c_total == 2
 
     def test_c_equals_p_weighted(self):
-        # on each axis every offset class contributes m_i - 1 to c
-        for t in (GRID, LAMINATED):
+        # on each axis the family uses one arc partition per offset class,
+        # with m_i blocks, and hides every one of them: c_i(G) is
+        # (m_i - 1)|p_i(T)|; on every orbit of the CI grids and every raw
+        # tiling of four small grids
+        orbits = [((2, 2, 2), (4, 4, 4)), ((2, 3), (6, 6)), ((3, 3), (9, 9)),
+                  ((2, 2, 3), (1, 2, 6))]
+        raw = [((2, 2), (2, 2)), ((2, 2), (4, 4)), ((3, 3), (3, 3)), ((2, 3), (2, 3))]
+        tilings = [t for m, q in orbits for t in enumerate_tilings(TorusSpec(m, q))]
+        tilings += [t for m, q in raw for t in enumerate_all_tilings(TorusSpec(m, q))]
+        assert GRID in tilings and LAMINATED in tilings
+        for t in tilings:
             G = to_box_family(t)
             stats = c_stats(G)
             params = p_params(t)
-            for i in range(t.spec.dimension):
-                assert stats.c_per_axis[i] == (t.spec.m[i] - 1) * len(
-                    params.per_axis[i]
-                )
+            used = tuple(
+                frozenset(K.factors[i].partition for K in G.boxes)
+                for i in range(t.spec.dimension)
+            )
+            assert stats.hidden == used == params.per_axis
+            assert stats.c_per_axis == tuple(
+                (m - 1) * len(offsets) for m, offsets in zip(t.spec.m, params.per_axis)
+            )
 
     def test_bridge_on_constructed_tilings(self):
         spec = TorusSpec((3, 3), (3, 3))
