@@ -14,12 +14,19 @@ multipile tree json:
 
 Rationals are serialized as "p/q" strings, never floats.  Block order is
 canonical on write and tolerated unordered on read.
+
+family_from_obj takes JSON values, as json.loads returns them.  It decodes
+each distinct system text and each distinct box of a system once per
+process: a batch of families over a few systems validates every system and
+every box on its first occurrence and shares the frozen objects after that.
+A malformed system or box is never cached, so it raises on every call.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -78,6 +85,13 @@ def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
     return PartitionSystem(tuple(sizes), tuple(families))
 
 
+@lru_cache(maxsize=16)
+def _system_from_text(text: str) -> PartitionSystem:
+    """system_from_obj on a system's JSON text, memoized: equal texts share
+    one PartitionSystem, and lru_cache caches no exception."""
+    return system_from_obj(json.loads(text))
+
+
 # --- box families -------------------------------------------------------
 
 def _factor_to_obj(f: Optional[BlockRef]) -> Any:
@@ -90,6 +104,14 @@ def _factor_from_obj(obj: Any) -> Optional[BlockRef]:
     if obj == "full":
         return None
     return BlockRef(_int(obj["p"]), _int(obj["b"]))
+
+
+@lru_cache(maxsize=4096)
+def _box(system: PartitionSystem, factors: tuple[Optional[BlockRef], ...]) -> Box:
+    """The decoder's one box constructor: Box.__post_init__ checks the
+    first occurrence of each (system, factors) pair, and later ones share
+    the frozen Box it built."""
+    return Box(system, factors)
 
 
 def family_to_obj(G: BoxFamily) -> dict[str, Any]:
@@ -108,9 +130,9 @@ def family_from_obj(
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         raw = json.loads(path.read_text())
-    system = system_from_obj(raw)
+    system = _system_from_text(json.dumps(raw))
     boxes = tuple(
-        Box(system, tuple(_factor_from_obj(f) for f in factors))
+        _box(system, tuple(_factor_from_obj(f) for f in factors))
         for factors in obj["boxes"]
     )
     return BoxFamily(system, boxes)
@@ -147,7 +169,7 @@ def tree_to_obj(tree: MultipileTree) -> dict[str, Any]:
 def tree_from_obj(obj: dict[str, Any], system: PartitionSystem) -> MultipileTree:
     if "leaf" in obj:
         factors = tuple(_factor_from_obj(f) for f in obj["leaf"])
-        return Leaf(Box(system, factors))
+        return Leaf(_box(system, factors))
     children_raw = obj["children"]
     children = tuple(
         tree_from_obj(children_raw[str(b)], system)

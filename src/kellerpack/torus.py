@@ -142,6 +142,11 @@ class PParams:
 def p_params(t: TorusTiling) -> PParams:
     """Per-axis sets of fractional offset classes (start mod q_i)."""
     require_valid(t)
+    return _p_params(t)
+
+
+def _p_params(t: TorusTiling) -> PParams:
+    """p_params of a tiling already validated."""
     per_axis = tuple(
         frozenset(s[i] % t.spec.q[i] for s in t.starts)
         for i in range(t.spec.dimension)
@@ -166,6 +171,11 @@ def to_box_family(t: TorusTiling) -> BoxFamily:
     maps to a Keller family.
     """
     require_valid(t)
+    return _box_family(t)
+
+
+def _box_family(t: TorusTiling) -> BoxFamily:
+    """to_box_family of a tiling already validated."""
     system = tiling_system(t.spec)
     rows = _start_factors(t.spec)
     return BoxFamily(system, tuple(
@@ -196,10 +206,11 @@ def require_bound(t: TorusTiling, name) -> tuple[PParams, BoxFamily, bool]:
     multipile, reads sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with the
     same equality case.  For equal sides n this is Theorem C,
     p(T) <= (n^d - 1)/(n - 1).  A violation raises TheoremViolationError
-    naming `name`.
+    naming `name`.  T is validated once, as p_params would validate it.
     """
-    params = p_params(t)
-    G = to_box_family(t)
+    require_valid(t)
+    params = _p_params(t)
+    G = _box_family(t)
     multipile = is_multipile(G).verdict
     weighted = sum((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
     bound = t.spec.n_cubes - 1
