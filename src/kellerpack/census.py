@@ -62,6 +62,7 @@ DEFAULT_CELL_BUDGET = 1024
 
 
 def default_cell_budget() -> int:
+    """The CLI's default budget: KELLERPACK_CELL_BUDGET if set."""
     env = os.environ.get("KELLERPACK_CELL_BUDGET")
     budget = int(env) if env else DEFAULT_CELL_BUDGET
     if budget < 1:
@@ -317,8 +318,9 @@ def check_budget(
 ) -> None:
     """Refuse more cells than the budget or, under `symmetry`, more than
     budget^2 group table entries; the group order is counted before
-    _group lists any permutation."""
-    limit = budget if budget is not None else default_cell_budget()
+    _group lists any permutation.  A budget of None is
+    DEFAULT_CELL_BUDGET: only the CLI reads KELLERPACK_CELL_BUDGET."""
+    limit = budget if budget is not None else DEFAULT_CELL_BUDGET
     if spec.n_cells > limit:
         raise BudgetExceededError(
             f"{spec.n_cells} cells exceed the budget of {limit}"

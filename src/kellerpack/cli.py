@@ -129,7 +129,7 @@ def _load(path: str):
     is raised outside _input, as it is no input error."""
     obj = _input(detect_and_load, path)
     if isinstance(obj, TorusTiling):
-        check_budget(obj.spec, None)
+        check_budget(obj.spec, default_cell_budget())
     return obj
 
 

@@ -16,9 +16,6 @@ from .boxes import (
     Box,
     BoxFamily,
     PartitionStatus,
-    _block_shadows,
-    _hidden_status,
-    _shadow_mask,
     c_stats,
     classify_partition,
     is_laminated,
@@ -71,40 +68,32 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
 def _recognize(G: BoxFamily) -> MultipileResult:
     """The recursion over subfamilies of G, as bit masks over its boxes,
     memoized per mask.  A subfamily of a Keller family is Keller, so none
-    is checked again; its partition-status table is built from per-box
-    shadows computed once, and G's own is G._hidden."""
+    is checked again.  It reads G._rows, each box's factor and shadow per
+    axis, which G computes once, and each mask's partition-status table,
+    G._status of its boxes, built from those rows; the full mask's is
+    G._hidden."""
+    rows = G._rows
     families = G.system.families
-    # per axis: the mask of the boxes on each block, and each box's
-    # (factor, shadow) pair, None for a full-axis factor
-    blocks: list[dict[BlockRef, int]] = [{} for _ in families]
-    shadows: list[list] = [[] for _ in families]
-    for i, K in enumerate(G.boxes):
-        for axis, f in enumerate(K.factors):
-            if f is not None:
-                blocks[axis][f] = blocks[axis].get(f, 0) | 1 << i
-            shadows[axis].append(None if f is None else (f, _shadow_mask(K, axis)))
     full = (1 << len(G)) - 1
     tables = {full: G._hidden}
     memo: dict[int, MultipileResult] = {}
 
     def table(mask: int) -> tuple[dict[int, bool], ...]:
         if mask not in tables:
-            members = elems_of(mask)
-            tables[mask] = tuple(
-                _hidden_status(_block_shadows(
-                    parts, filter(None, map(pairs.__getitem__, members))
-                ))
-                for parts, pairs in zip(families, shadows)
-            )
+            tables[mask] = G._status(elems_of(mask))
         return tables[mask]
 
     def node(mask: int, axis: int, p: int) -> Optional[Node]:
-        subs = [
-            mask & blocks[axis].get(BlockRef(p, b), 0)
-            for b in range(families[axis][p].n_blocks)
-        ]
-        # laminated by p and hidden: a pile, so no block is empty
-        if sum(subs) != mask or not table(mask)[axis][p]:
+        # one pass over the mask's rows: laminated by p, and the boxes
+        # over each block of p
+        subs = [0] * families[axis][p].n_blocks
+        for i in elems_of(mask):
+            row = rows[axis][i]
+            if row is None or row[0].partition != p:
+                return None
+            subs[row[0].block] |= 1 << i
+        # laminated and hidden: a pile, so no block is empty
+        if not table(mask)[axis][p]:
             return None
         children = []
         for sub in subs:

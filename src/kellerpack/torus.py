@@ -233,21 +233,23 @@ class TheoremCReport:
 def theorem_c_report(t: TorusTiling) -> TheoremCReport:
     """p(T) against (n^d - 1)/(n - 1) for a uniform torus, with the
     equality case cross-checked against the multipile recognizer.  With
-    equal sides the bound is the lamination value 1 + n + ... + n^(d-1)."""
+    equal sides the bound is the lamination value 1 + n + ... + n^(d-1).
+    The check is require_bound's: a tiling above the bound, or one whose
+    equality case the recognizer refuses, raises TheoremViolationError,
+    so a returned report always holds."""
     if not t.spec.is_uniform():
         raise NonUniformTorusError(
             "the bound is proved for uniform side lengths only; "
             "use the census's conjectural reporting for mixed sides"
         )
     bound = extremal_p_value(t.spec.m, range(t.spec.dimension))
-    params = p_params(t)
-    verdict = is_multipile(to_box_family(t)).verdict
+    params, _, multipile = require_bound(t, t.starts)
     return TheoremCReport(
         p_total=params.total,
         bound=bound,
         holds=params.total <= bound,
         equality=params.total == bound,
-        is_multipile=verdict,
+        is_multipile=multipile,
     )
 
 

@@ -126,8 +126,8 @@ def test_rewrites_match_the_old_ladder():
 
 
 def test_cell_budget_environment_skips_no_grid(monkeypatch):
-    # the suite enumerates with an explicit budget; clear the caches so
-    # that the grids are enumerated under the small environment budget
+    # the library does not read the environment; clear the caches so that
+    # the grids are enumerated again under the small environment budget
     monkeypatch.setenv("KELLERPACK_CELL_BUDGET", "100")
     caches = (acceptance._tilings, acceptance._census)
     for cache in caches:

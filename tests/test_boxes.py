@@ -1,11 +1,13 @@
 import dataclasses
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
 import kellerpack.boxes
+import kellerpack.multipiles
 
 from kellerpack import (
     BlockRef,
@@ -356,14 +358,14 @@ class TestCStats:
 
 class TestFamilyCache:
     def test_one_keller_scan_per_family(self, laminated_family, monkeypatch):
-        real = kellerpack.boxes.keller_pair
+        real = kellerpack.boxes.keller_factors
         calls = []
 
-        def counting(K, L):
-            calls.append((K, L))
-            return real(K, L)
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
 
-        monkeypatch.setattr(kellerpack.boxes, "keller_pair", counting)
+        monkeypatch.setattr(kellerpack.boxes, "keller_factors", counting)
         G = BoxFamily(laminated_family.system, laminated_family.boxes)
         before = (hash(G), repr(G))
         assert is_keller_family(G)
@@ -376,23 +378,32 @@ class TestFamilyCache:
         assert [f.name for f in dataclasses.fields(BoxFamily)] == ["system", "boxes"]
 
     def test_one_shadow_table_per_family(self, laminated_family, monkeypatch):
-        real = kellerpack.boxes._axis_shadows
+        # the recognizer below reaches its recursion: G is a multipile
+        real = kellerpack.boxes._shadow_mask
         G = BoxFamily(laminated_family.system, laminated_family.boxes)
         calls = []
 
-        def counting(F, axis):
-            if F is G:
-                calls.append(axis)
-            return real(F, axis)
+        def counting(K, axis):
+            calls.append((K, axis))
+            return real(K, axis)
 
-        monkeypatch.setattr(kellerpack.boxes, "_axis_shadows", counting)
+        monkeypatch.setattr(kellerpack.boxes, "_shadow_mask", counting)
+        monkeypatch.setattr(
+            kellerpack.multipiles, "_shadow_mask", counting, raising=False
+        )
         c_stats(G)
         for axis in range(G.system.dimension):
             for p in G.system.nontrivial_indices(axis):
                 classify_partition(G, axis, p)
                 is_pile(G, axis, p)
-        assert is_multipile(G).verdict
-        assert sorted(calls) == list(range(G.system.dimension))
+        assert len(G) > 1 and is_multipile(G).verdict
+        expected = [
+            (K, axis)
+            for K in G.boxes
+            for axis, f in enumerate(K.factors)
+            if f is not None
+        ]
+        assert Counter(calls) == Counter(expected)
 
     def test_non_keller_raises_on_every_call(self):
         sys_ = arc_system(2, 2, 2)
@@ -426,6 +437,46 @@ def test_is_pile_matches_cylinder_oracle_on_every_keller_family():
                     checked += 1
                     piles += expected
     assert (checked, piles) == (1216, 168)
+
+
+def _assert_status_table_matches_scan(G, members):
+    """G's partition-status table of the boxes at `members` maps, on each
+    axis, exactly the partitions they use, each to the point-scan verdict
+    on their subfamily."""
+    sub = BoxFamily(G.system, tuple(G.boxes[i] for i in members))
+    table = G._status(members)
+    for axis in range(G.system.dimension):
+        used = {
+            K.factors[axis].partition
+            for K in sub.boxes
+            if K.factors[axis] is not None
+        }
+        assert set(table[axis]) == used
+        for p, hidden in table[axis].items():
+            assert hidden == (scan_status(sub, axis, p) is PartitionStatus.HIDDEN)
+
+
+def test_subfamily_status_tables_match_the_point_scan():
+    # every nonempty subset of every Keller family of arc_system(2,2,2)
+    system = arc_system(2, 2, 2)
+    checked = 0
+    for G in keller_families(system):
+        for r in range(1, len(G) + 1):
+            for members in combinations(range(len(G)), r):
+                _assert_status_table_matches_scan(G, members)
+                checked += 1
+    assert checked == 929
+    # larger families of random systems, on a seeded sample of subsets
+    rng = random.Random(19)
+    sampled = 0
+    while sampled < 40:
+        G = random_keller_family(random_system(rng), rng)
+        if G is None or len(G) < 5:
+            continue
+        for _ in range(10):
+            k = rng.randint(1, len(G))
+            _assert_status_table_matches_scan(G, sorted(rng.sample(range(len(G)), k)))
+        sampled += 1
 
 
 class TestElementaryAggregate:
