@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, product
+from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -96,10 +97,7 @@ class Box:
         return Box(self.system, tuple(factors))
 
     def volume(self) -> int:
-        v = 1
-        for axis in range(self.system.dimension):
-            v *= len(self.factor_elems(axis))
-        return v
+        return prod(len(self.factor_elems(a)) for a in range(self.system.dimension))
 
 
 def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -127,10 +125,7 @@ class PointSet:
         return self.bits.bit_count()
 
     def is_full(self) -> bool:
-        total = 1
-        for s in self.sizes:
-            total *= s
-        return self.bits == (1 << total) - 1
+        return self.bits == (1 << prod(self.sizes)) - 1
 
     def contains(self, point: Sequence[int]) -> bool:
         idx = sum(x * s for x, s in zip(point, self.strides))
@@ -492,8 +487,10 @@ class TheoremBReport:
 
 
 def theorem_b_report(G: BoxFamily) -> TheoremBReport:
-    """c(G) against |G| - 1.  inequality_holds must always be true; a False
-    here means a library bug, never a quiet data point."""
+    """c(G) against |G| - 1, as a report that never raises.  inequality_holds
+    must always be true; a False here means a library bug, never a quiet
+    data point.  The library itself checks the theorem, equality case
+    included, through multipiles.require_theorem_b, which raises."""
     stats = c_stats(G)
     size = len(G)
     return TheoremBReport(

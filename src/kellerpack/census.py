@@ -417,9 +417,11 @@ def census_from_tilings(
     """Fold p(T) and the multipile verdict over a list of canonical
     tilings of `spec`, one per orbit under `symmetry`.
 
-    Every tiling is checked by torus.require_bound, on any sides: the
-    weighted bound sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 that Theorem B
-    gives, with equality iff T is a multipile; a violation aborts loudly.
+    Every tiling is checked by torus.require_bound, on any sides: Theorem B
+    on its box family G and the bridge c_i(G) = (m_i - 1)|p_i(T)|, which
+    together give the weighted bound sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1,
+    with equality iff T is a multipile; a violation raises
+    TheoremViolationError naming the tiling's starts.
     The row's bound is the lamination value for the descending side
     ordering, which for equal sides n is the proved (n^d - 1)/(n - 1) and
     for mixed sides only conjectural: the observed maximum is reported

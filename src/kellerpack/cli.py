@@ -20,15 +20,11 @@ import json
 import sys
 import traceback
 from itertools import combinations
+from math import prod
 from typing import Any
 
 from . import __version__
-from .boxes import (
-    c_stats,
-    is_keller_family,
-    keller_pair,
-    theorem_b_report,
-)
+from .boxes import is_keller_family, keller_pair
 from .census import (
     ALL_SYMMETRIES,
     census,
@@ -43,7 +39,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .hats import hats_disjoint, verify_box_count
-from .multipiles import build_multipile, is_multipile
+from .multipiles import build_multipile, require_theorem_b
 from .serialization import (
     detect_and_load,
     dump_json,
@@ -158,33 +154,28 @@ def cmd_analyze(args) -> int:
     if isinstance(obj, TorusTiling):
         if not validate_tiling(obj):
             raise InvalidTilingError(f"invalid tiling, defect {find_defect(obj)}")
-        params, G, multipile = require_bound(obj, args.path)
+        params, stats, multipile = require_bound(obj, args.path)
         spec = obj.spec
+        size = spec.n_cubes
         # p(T) <= (n^d - 1)/(n - 1) is proved for equal sides n only
-        bound = (spec.n_cubes - 1) // (spec.m[0] - 1) if spec.is_uniform() else None
+        bound = (size - 1) // (spec.m[0] - 1) if spec.is_uniform() else None
         payload = {
             "p_per_axis": [sorted(v) for v in params.per_axis],
             "p_total": params.total,
             "bound": bound,
         }
     else:
-        # Theorem B's bound |G| - 1; is_multipile raises NotKellerError
-        # for a non-Keller family
-        G, bound = obj, len(obj) - 1
-        multipile = is_multipile(G).verdict
-    stats = c_stats(G)
-    rep = theorem_b_report(G)
-    if not rep.inequality_holds or rep.equality != multipile:
-        raise TheoremViolationError(
-            f"Theorem B fails on {args.path}: c(G)={rep.c}, "
-            f"|G|-1={rep.size - 1}, multipile={multipile}"
-        )
+        # Theorem B's bound |G| - 1; require_theorem_b raises
+        # NotKellerError for a non-Keller family
+        stats, multipile = require_theorem_b(obj, args.path)
+        size, bound = len(obj), len(obj) - 1
     payload.update(
         c_per_axis=list(stats.c_per_axis),
         c_total=stats.c_total,
-        size=rep.size,
-        # c(G) = (n - 1)p(T) for equal sides n, so c-equality is p-equality
-        equality=None if bound is None else rep.equality,
+        size=size,
+        # Theorem B held: c-equality is the multipile verdict, and
+        # c(G) = (n - 1)p(T) for equal sides n, so it is p-equality
+        equality=None if bound is None else multipile,
         multipile=multipile,
         hidden_partitions=[sorted(h) for h in stats.hidden],
     )
@@ -199,10 +190,7 @@ def _parse_spec(args) -> TorusSpec:
     if args.q:
         q = tuple(int(v) for v in args.q.split(","))
     else:
-        total = 1
-        for v in m:
-            total *= v
-        q = tuple(total for _ in m)
+        q = (prod(m),) * len(m)
     return TorusSpec(m, q)
 
 

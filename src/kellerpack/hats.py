@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .boxes import (
@@ -94,15 +95,8 @@ def _union_size_counting(
     intersection sizes."""
     h1 = [_hat_over(K, coords) for K in G1.boxes]
     h2 = [_hat_over(K, coords) for K in G2.boxes]
-
-    def size(h):
-        v = 1
-        for choices in h:
-            v *= len(choices)
-        return v
-
-    u1 = sum(size(h) for h in h1)
-    u2 = sum(size(h) for h in h2)
+    u1 = sum(prod(map(len, h)) for h in h1)
+    u2 = sum(prod(map(len, h)) for h in h2)
     cross = sum(_meet_size(a, b) for a in h1 for b in h2)
     return u1, u2, u1 + u2 - cross
 

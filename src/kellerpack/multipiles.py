@@ -15,13 +15,14 @@ from .boxes import (
     BlockRef,
     Box,
     BoxFamily,
+    CStats,
     PartitionStatus,
     c_stats,
     classify_partition,
     is_laminated,
     require_keller,
 )
-from .errors import DisjointnessError, IllFormedTreeError
+from .errors import DisjointnessError, IllFormedTreeError, TheoremViolationError
 from .partitions import PartitionSystem, elems_of
 
 
@@ -63,6 +64,24 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     ):
         return MultipileResult(False)
     return _recognize(G)
+
+
+def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
+    """c_stats(G) and G's multipile verdict, after checking Theorem B on
+    G: c(G) <= |G| - 1, with equality iff G is a multipile.  A violation
+    raises TheoremViolationError naming `name`.  This is the library's one
+    check of the theorem; theorem_b_report is the non-raising report.
+    c_stats raises NotKellerError for a family that is not Keller."""
+    stats = c_stats(G)
+    multipile = is_multipile(G).verdict
+    bound = len(G) - 1
+    if stats.c_total > bound:
+        raise TheoremViolationError(
+            f"c(G) = {stats.c_total} exceeds |G| - 1 = {bound} on {name}"
+        )
+    if (stats.c_total == bound) != multipile:
+        raise TheoremViolationError(f"equality/multipile mismatch on {name}")
+    return stats, multipile
 
 
 def _recognize(G: BoxFamily) -> MultipileResult:
@@ -186,11 +205,12 @@ def build_multipile(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
 
     At each node the axis factor of every box below a block is overridden
     to that block, so leaves only need to fix the axes no ancestor splits.
+    Every node of the tree passed _build's checks, so G is a multipile by
+    definition, and a recognizer that refuses it is a library bug.
     """
     G = _build(system, tree)
-    result = is_multipile(G)
-    if not result.verdict:
-        raise IllFormedTreeError("constructed family is not a multipile")
+    if not is_multipile(G).verdict:
+        raise TheoremViolationError("constructed family is not a multipile")
     return G
 
 

@@ -11,16 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
-from .boxes import BlockRef, Box, BoxFamily, extend_mask
+from .boxes import BlockRef, Box, BoxFamily, CStats, extend_mask
 from .errors import (
     InvalidTilingError,
     NonUniformTorusError,
     RecipeError,
     TheoremViolationError,
 )
-from .multipiles import extremal_p_value, is_multipile
+from .multipiles import extremal_p_value, require_theorem_b
 from .partitions import PartitionSystem, arc_system_mixed
 
 
@@ -47,17 +48,11 @@ class TorusSpec:
 
     @property
     def n_cells(self) -> int:
-        total = 1
-        for s in self.cell_sizes:
-            total *= s
-        return total
+        return prod(self.cell_sizes)
 
     @property
     def n_cubes(self) -> int:
-        total = 1
-        for v in self.m:
-            total *= v
-        return total
+        return prod(self.m)
 
     def is_uniform(self) -> bool:
         return len(set(self.m)) == 1
@@ -197,28 +192,29 @@ def _start_factors(spec: TorusSpec) -> tuple[tuple[BlockRef, ...], ...]:
     )
 
 
-def require_bound(t: TorusTiling, name) -> tuple[PParams, BoxFamily, bool]:
-    """p(T), the box family G of T and G's multipile verdict, after checking
-    the bound that Theorem B gives T, on any sides.
+def require_bound(t: TorusTiling, name) -> tuple[PParams, CStats, bool]:
+    """p(T), the c statistics of T's box family G and G's multipile
+    verdict, after checking the bound that Theorem B gives T, on any sides.
 
-    Every partition G uses is hidden, so c(G) = sum_i (m_i - 1)|p_i(T)|,
-    and |G| = m_1...m_d: c(G) <= |G| - 1, with equality iff G is a
-    multipile, reads sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with the
-    same equality case.  For equal sides n this is Theorem C,
-    p(T) <= (n^d - 1)/(n - 1).  A violation raises TheoremViolationError
-    naming `name`.  T is validated once, as p_params would validate it.
+    require_theorem_b checks c(G) <= |G| - 1, with equality iff G is a
+    multipile.  Every partition G uses is hidden, so the bridge
+    c_i(G) = (m_i - 1)|p_i(T)| holds on each axis i; it is checked too.
+    With |G| = m_1...m_d, Theorem B then reads
+    sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with the same equality case,
+    and for equal sides n this is Theorem C, p(T) <= (n^d - 1)/(n - 1).
+    A violation raises TheoremViolationError naming `name`.  T is
+    validated once, as p_params would validate it.
     """
     require_valid(t)
     params = _p_params(t)
-    G = _box_family(t)
-    multipile = is_multipile(G).verdict
-    weighted = sum((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
-    bound = t.spec.n_cubes - 1
-    if weighted > bound:
-        raise TheoremViolationError(f"tiling {name} exceeds the proved bound")
-    if (weighted == bound) != multipile:
-        raise TheoremViolationError(f"equality/multipile mismatch on {name}")
-    return params, G, multipile
+    stats, multipile = require_theorem_b(_box_family(t), name)
+    weighted = tuple((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
+    if stats.c_per_axis != weighted:
+        raise TheoremViolationError(
+            f"c_i(G) = {stats.c_per_axis} differs from (m_i - 1)|p_i(T)| = "
+            f"{weighted} on {name}"
+        )
+    return params, stats, multipile
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,17 @@ from itertools import islice
 
 import pytest
 
-from kellerpack import acceptance
+import kellerpack.multipiles
+from kellerpack import (
+    MultipileResult,
+    TorusSpec,
+    TorusTiling,
+    acceptance,
+    to_box_family,
+)
 from kellerpack.acceptance import CRITERIA, run_all
 from kellerpack.boxes import c_stats, keller_families, pile_rewrite
+from kellerpack.errors import TheoremViolationError
 from kellerpack.partitions import arc_system
 from kellerpack.sampling import random_keller_family, random_system
 
@@ -88,6 +96,26 @@ def test_theorem_b_families_match_the_old_loop(theorem_b_families, part):
         assert new[72:-1_000] == exhaustive
     else:
         assert new[-1_000:] == old[72:]
+
+
+def test_criterion_4_raises_naming_the_family(monkeypatch):
+    # the second family, laminated, attains its bound, so a recognizer that
+    # refuses it contradicts the equality case; the grid does not
+    spec = TorusSpec((2, 2), (2, 2))
+    families = [
+        to_box_family(TorusTiling(spec, starts))
+        for starts in (((0, 0), (0, 2), (2, 0), (2, 2)),
+                       ((0, 0), (0, 2), (2, 1), (2, 3)))
+    ]
+    monkeypatch.setattr(acceptance, "_theorem_b_families", lambda: iter(families))
+    monkeypatch.setattr(
+        kellerpack.multipiles, "is_multipile", lambda G: MultipileResult(False)
+    )
+    with pytest.raises(TheoremViolationError) as exc:
+        acceptance.criterion_4_complexity_bound()
+    assert str(exc.value) == (
+        "equality/multipile mismatch on family 2 of criterion 4's stream"
+    )
 
 
 def old_rewrite_pairs(min_pairs=1000):

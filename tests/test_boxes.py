@@ -139,6 +139,11 @@ class TestIsKellerFamily:
         with pytest.raises(DuplicateBoxError):
             BoxFamily(sys_, (K, K))
 
+    def test_box_of_another_system_rejected(self):
+        K = Box(arc_system(2, 1, 1), (BlockRef(0, 0),))
+        with pytest.raises(SystemMismatchError):
+            BoxFamily(arc_system(3, 1, 1), (K,))
+
     def test_keller_implies_pairwise_disjoint(self):
         rng = random.Random(11)
         for _ in range(50):

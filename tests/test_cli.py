@@ -6,9 +6,11 @@ import pytest
 
 from kellerpack import (
     Box,
+    CStats,
     Leaf,
     MultipileResult,
     Node,
+    PParams,
     TorusSpec,
     TorusTiling,
     enumerate_all_tilings,
@@ -133,6 +135,12 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["valid"] is True
 
+    def test_text_format(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", tiling_to_obj(LAMINATED))
+        code, out = run(capsys, ["validate", path, "--format", "text"])
+        assert code == 0
+        assert out == "valid: True\n"
+
     def test_invalid_tiling(self, tmp_path, capsys):
         obj = tiling_to_obj(LAMINATED)
         obj["starts"][0] = [0, 1]
@@ -211,22 +219,33 @@ class TestAnalyze:
         assert payload["c_total"] == 2 and payload["size"] == 4
 
     # the laminated fixture attains its bound, so a recognizer that rejects
-    # it contradicts the equality case: the tiling's report reads the
-    # verdict in torus, the family's in cli
+    # it contradicts the equality case: both reports read the verdict in
+    # multipiles.require_theorem_b
     @pytest.mark.parametrize(
-        "module, obj",
-        [("kellerpack.torus", tiling_obj()), ("kellerpack.cli", family_obj())],
-        ids=["tiling", "family"],
+        "obj", [tiling_obj(), family_obj()], ids=["tiling", "family"]
     )
-    def test_failed_bound_exits_4(self, tmp_path, monkeypatch, capsys, module, obj):
+    def test_failed_bound_exits_4(self, tmp_path, monkeypatch, capsys, obj):
         monkeypatch.setattr(
-            importlib.import_module(module),
+            importlib.import_module("kellerpack.multipiles"),
             "is_multipile",
             lambda G: MultipileResult(False),
         )
         path = write(tmp_path, "in.json", obj)
         code = main(["analyze", path])
         assert_theorem_violation(code, capsys.readouterr(), path)
+
+    def test_exceeded_bound_exits_4(self, tmp_path, monkeypatch, capsys):
+        # c(G) = |G| is one above Theorem B's bound
+        monkeypatch.setattr(
+            importlib.import_module("kellerpack.multipiles"),
+            "c_stats",
+            lambda G: CStats((frozenset(), frozenset()), (len(G), 0), len(G)),
+        )
+        path = write(tmp_path, "g.json", family_obj())
+        code = main(["analyze", path])
+        assert_theorem_violation(
+            code, capsys.readouterr(), f"c(G) = 4 exceeds |G| - 1 = 3 on {path}"
+        )
 
 
 class TestEnumerateCommand:
@@ -289,7 +308,7 @@ class TestCensusCommand:
         # the laminated tiling attains the bound, so a recognizer that
         # rejects it contradicts the equality case; the grid does not
         monkeypatch.setattr(
-            importlib.import_module("kellerpack.torus"),
+            importlib.import_module("kellerpack.multipiles"),
             "is_multipile",
             lambda G: MultipileResult(False),
         )
@@ -300,6 +319,58 @@ class TestCensusCommand:
             "theorem violation (library bug): equality/multipile mismatch on "
             "((0, 0), (0, 2), (2, 1), (2, 3))\n"
         )
+
+    def test_broken_bridge_exits_4(self, monkeypatch, capsys):
+        # one offset class more on axis 0 than c_0(G) counts: the first
+        # tiling, the grid, fails c_i(G) = (m_i - 1)|p_i(T)|
+        torus = importlib.import_module("kellerpack.torus")
+        p_params = torus._p_params
+
+        def shifted(t):
+            params = p_params(t)
+            per_axis = (params.per_axis[0] | {t.spec.q[0]},) + params.per_axis[1:]
+            return PParams(per_axis, params.total + 1)
+
+        monkeypatch.setattr(torus, "_p_params", shifted)
+        code = main(["census", "--m", "2,2", "--q", "2,2"])
+        assert_theorem_violation(
+            code, capsys.readouterr(), "c_i(G) = (1, 1)", f"on {GRID.starts}"
+        )
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize(
+        "passed, expected",
+        [((True, True), 0), ((True, False), 1)],
+        ids=["all-pass", "one-fails"],
+    )
+    def test_exit_code_and_one_line_per_criterion(
+        self, monkeypatch, capsys, passed, expected
+    ):
+        acceptance = importlib.import_module("kellerpack.acceptance")
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            lambda ok=ok: acceptance.CriterionResult("fake", ok, "detail", 0.0)
+            for ok in passed
+        ])
+        code, out = run(capsys, ["verify"])
+        assert code == expected
+        assert out == "".join(
+            f"[{'PASS' if ok else 'FAIL'}] criterion {i}: fake -- detail\n"
+            for i, ok in enumerate(passed, 1)
+        )
+
+
+def test_unexpected_exception_exits_5(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(importlib.import_module("kellerpack.cli"), "census", fail)
+    code = main(["census", "--m", "2,2", "--q", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("RuntimeError: not a library error\n")
 
 
 @pytest.mark.parametrize(
@@ -395,6 +466,20 @@ class TestBuildMultipile:
         )
         code, _ = run(capsys, ["build-multipile", path])
         assert code == 1
+
+    def test_refused_checked_tree_exits_4(self, tmp_path, monkeypatch, capsys):
+        # every node passed the builder's checks, so the family is a
+        # multipile and a recognizer that refuses it is a library bug
+        monkeypatch.setattr(
+            importlib.import_module("kellerpack.multipiles"),
+            "is_multipile",
+            lambda G: MultipileResult(False),
+        )
+        path = write(tmp_path, "tree.json", tree_obj())
+        code = main(["build-multipile", path])
+        assert_theorem_violation(
+            code, capsys.readouterr(), "constructed family is not a multipile"
+        )
 
 
 class TestHatCheck:

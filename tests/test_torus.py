@@ -349,6 +349,11 @@ class TestLaminatedConstruction:
         with pytest.raises(RecipeError):
             laminated_construction(spec, [(0, [0]), (1, [1, 1])])
 
+    def test_offset_outside_resolution_rejected(self):
+        spec = TorusSpec((2, 2), (2, 2))
+        with pytest.raises(RecipeError, match="offset outside 0..q-1"):
+            laminated_construction(spec, [(0, [2]), (1, [0, 1])])
+
     def test_axis_reuse_rejected(self):
         spec = TorusSpec((2, 2), (2, 2))
         with pytest.raises(RecipeError):
