@@ -6,14 +6,14 @@ axis (stored as None) or a block of one of the system's partitions
 the dense cell enumeration of X, which is fine at desk scale, and so are
 shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
-masks.  Each BoxFamily computes its Keller verdict once, and each box's
-shadows once, as rows: per axis, each box's factor and shadow there.
-Every partition-status table, the family's own and each subfamily's
-that the multipile recognizer reads, is built from those rows: per
-axis, whether each partition the boxes use is hidden, i.e. whether the
-boxes over every block cast one and the same shadow.  c_stats,
-classify_partition and is_pile read the family's own table, which is
-cached on the instance with the rows.
+masks.  Each box computes its shadows once, as its row: per axis, its
+factor and shadow there.  Each BoxFamily computes its Keller verdict
+once and transposes its boxes' rows.  Every partition-status table, the
+family's own and each subfamily's that the multipile recognizer reads,
+is built from those rows: per axis, whether each partition the boxes
+use is hidden, i.e. whether the boxes over every block cast one and the
+same shadow.  c_stats, classify_partition and is_pile read the family's
+own table, which is cached on the instance with the rows.
 all_boxes lists every box of a system, and keller_families every Keller
 family, by a clique walk.
 """
@@ -99,6 +99,15 @@ class Box:
     def volume(self) -> int:
         return prod(len(self.factor_elems(a)) for a in range(self.system.dimension))
 
+    # cached outside the dataclass fields, so eq, hash and repr ignore it
+    @cached_property
+    def row(self) -> tuple[Optional[tuple[BlockRef, int]], ...]:
+        """Per axis, the factor and the shadow there; None if full."""
+        return tuple(
+            None if f is None else (f, _shadow_mask(self, axis))
+            for axis, f in enumerate(self.factors)
+        )
+
 
 def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
     """Row-major strides: point (x_1..x_d) has index sum x_a * stride_a,
@@ -183,7 +192,7 @@ class BoxFamily:
 
     def __post_init__(self) -> None:
         for box in self.boxes:
-            if box.system != self.system:
+            if box.system is not self.system and box.system != self.system:
                 raise SystemMismatchError("box from a different system")
         if len(set(self.boxes)) != len(self.boxes):
             raise DuplicateBoxError("duplicate box in family")
@@ -211,15 +220,9 @@ class BoxFamily:
 
     @cached_property
     def _rows(self) -> tuple[tuple[Optional[tuple[BlockRef, int]], ...], ...]:
-        """Per axis, each box's row there: its factor and its shadow, None
-        for a full-axis factor.  The only place a family computes shadows."""
-        return tuple(
-            tuple(
-                None if K.factors[axis] is None
-                else (K.factors[axis], _shadow_mask(K, axis))
-                for K in self.boxes
-            )
-            for axis in range(self.system.dimension)
+        """Per axis, each box's row there (the boxes' rows transposed)."""
+        return tuple(zip(*(K.row for K in self.boxes))) or (
+            ((),) * self.system.dimension
         )
 
     def _status(self, members: Sequence[int]) -> tuple[dict[int, bool], ...]:

@@ -88,9 +88,9 @@ def _recognize(G: BoxFamily) -> MultipileResult:
     """The recursion over subfamilies of G, as bit masks over its boxes,
     memoized per mask.  A subfamily of a Keller family is Keller, so none
     is checked again.  It reads G._rows, each box's factor and shadow per
-    axis, which G computes once, and each mask's partition-status table,
-    G._status of its boxes, built from those rows; the full mask's is
-    G._hidden."""
+    axis, which each box computes once, and each mask's partition-status
+    table, G._status of its boxes, built from those rows; the full mask's
+    is G._hidden."""
     rows = G._rows
     families = G.system.families
     full = (1 << len(G)) - 1

@@ -16,15 +16,16 @@ Rationals are serialized as "p/q" strings, never floats.  Block order is
 canonical on write and tolerated unordered on read.
 
 family_from_obj takes JSON values, as json.loads returns them.  It decodes
-each distinct system text and each distinct box of a system once per
-process: a batch of families over a few systems validates every system and
-every box on its first occurrence and shares the frozen objects after that.
-A malformed system or box is never cached, so it raises on every call.
+each distinct system and each distinct box of a system once per process,
+keyed by marshal bytes (version 2, with no back-references), which tell
+1, 1.0 and True apart.  A malformed system or box is never cached, so it
+raises on every call.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -86,10 +87,10 @@ def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
 
 
 @lru_cache(maxsize=16)
-def _system_from_text(text: str) -> PartitionSystem:
-    """system_from_obj on a system's JSON text, memoized: equal texts share
-    one PartitionSystem, and lru_cache caches no exception."""
-    return system_from_obj(json.loads(text))
+def _system(key: bytes) -> PartitionSystem:
+    """system_from_obj on a system's marshal bytes, memoized; lru_cache
+    caches no exception."""
+    return system_from_obj(marshal.loads(key))
 
 
 # --- box families -------------------------------------------------------
@@ -107,11 +108,10 @@ def _factor_from_obj(obj: Any) -> Optional[BlockRef]:
 
 
 @lru_cache(maxsize=4096)
-def _box(system: PartitionSystem, factors: tuple[Optional[BlockRef], ...]) -> Box:
-    """The decoder's one box constructor: Box.__post_init__ checks the
-    first occurrence of each (system, factors) pair, and later ones share
-    the frozen Box it built."""
-    return Box(system, factors)
+def _box(system: PartitionSystem, key: bytes) -> Box:
+    """The decoder's one box constructor, on the marshal bytes of a box's
+    factor list: each (system, key) is checked and built once."""
+    return Box(system, tuple(_factor_from_obj(f) for f in marshal.loads(key)))
 
 
 def family_to_obj(G: BoxFamily) -> dict[str, Any]:
@@ -130,12 +130,10 @@ def family_from_obj(
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         raw = json.loads(path.read_text())
-    system = _system_from_text(json.dumps(raw))
-    boxes = tuple(
-        _box(system, tuple(_factor_from_obj(f) for f in factors))
-        for factors in obj["boxes"]
+    system = _system(marshal.dumps(raw, 2))
+    return BoxFamily(
+        system, tuple(_box(system, marshal.dumps(f, 2)) for f in obj["boxes"])
     )
-    return BoxFamily(system, boxes)
 
 
 # --- tilings ------------------------------------------------------------
@@ -168,8 +166,7 @@ def tree_to_obj(tree: MultipileTree) -> dict[str, Any]:
 
 def tree_from_obj(obj: dict[str, Any], system: PartitionSystem) -> MultipileTree:
     if "leaf" in obj:
-        factors = tuple(_factor_from_obj(f) for f in obj["leaf"])
-        return Leaf(_box(system, factors))
+        return Leaf(_box(system, marshal.dumps(obj["leaf"], 2)))
     children_raw = obj["children"]
     children = tuple(
         tree_from_obj(children_raw[str(b)], system)

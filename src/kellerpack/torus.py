@@ -161,21 +161,29 @@ def to_box_family(t: TorusTiling) -> BoxFamily:
 
     The cube at start s occupies, on axis i, the arc of partition
     pi_{s_i mod q_i} that starts at cell s_i.  Every family of one spec
-    shares the system tiling_system(t.spec), and reads each start's
-    factors from the spec's table _start_factors.  A valid tiling always
-    maps to a Keller family.
+    shares the system tiling_system(t.spec), and each start's Box.  A
+    valid tiling always maps to a Keller family.
     """
     require_valid(t)
     return _box_family(t)
 
 
 def _box_family(t: TorusTiling) -> BoxFamily:
-    """to_box_family of a tiling already validated."""
+    """to_box_family of a tiling already validated; a start's Box is
+    built from _start_factors on the start's first use."""
     system = tiling_system(t.spec)
-    rows = _start_factors(t.spec)
-    return BoxFamily(system, tuple(
-        Box(system, tuple(map(tuple.__getitem__, rows, s))) for s in t.starts
-    ))
+    boxes = _start_boxes(t.spec)
+    for s in t.starts:
+        if s not in boxes:
+            rows = _start_factors(t.spec)
+            boxes[s] = Box(system, tuple(map(tuple.__getitem__, rows, s)))
+    return BoxFamily(system, tuple(map(boxes.__getitem__, t.starts)))
+
+
+@lru_cache(maxsize=16)
+def _start_boxes(spec: TorusSpec) -> dict[tuple[int, ...], Box]:
+    """The Box of each start of `spec` used so far."""
+    return {}
 
 
 @lru_cache(maxsize=16)

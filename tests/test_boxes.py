@@ -383,9 +383,12 @@ class TestFamilyCache:
         assert [f.name for f in dataclasses.fields(BoxFamily)] == ["system", "boxes"]
 
     def test_one_shadow_table_per_family(self, laminated_family, monkeypatch):
-        # the recognizer below reaches its recursion: G is a multipile
+        # fresh boxes, none shadowed yet; the recognizer below reaches its
+        # recursion: G is a multipile
         real = kellerpack.boxes._shadow_mask
-        G = BoxFamily(laminated_family.system, laminated_family.boxes)
+        system = laminated_family.system
+        boxes = tuple(Box(system, K.factors) for K in laminated_family.boxes)
+        before = [(hash(K), repr(K)) for K in boxes]
         calls = []
 
         def counting(K, axis):
@@ -396,6 +399,7 @@ class TestFamilyCache:
         monkeypatch.setattr(
             kellerpack.multipiles, "_shadow_mask", counting, raising=False
         )
+        G = BoxFamily(system, boxes)
         c_stats(G)
         for axis in range(G.system.dimension):
             for p in G.system.nontrivial_indices(axis):
@@ -404,11 +408,22 @@ class TestFamilyCache:
         assert len(G) > 1 and is_multipile(G).verdict
         expected = [
             (K, axis)
-            for K in G.boxes
+            for K in boxes
             for axis, f in enumerate(K.factors)
             if f is not None
         ]
         assert Counter(calls) == Counter(expected)
+        # one shadow per box and axis per process: families over the same
+        # boxes, reordered or a subfamily, compute none again
+        for H in (BoxFamily(system, boxes[::-1]), BoxFamily(system, boxes[:2])):
+            c_stats(H)
+            is_multipile(H)
+        assert len(calls) == len(expected)
+        # the cached row is outside the fields: eq, hash and repr ignore it
+        assert all("row" in vars(K) for K in boxes)
+        assert boxes == tuple(Box(system, K.factors) for K in boxes)
+        assert [(hash(K), repr(K)) for K in boxes] == before
+        assert [f.name for f in dataclasses.fields(Box)] == ["system", "factors"]
 
     def test_non_keller_raises_on_every_call(self):
         sys_ = arc_system(2, 2, 2)

@@ -455,6 +455,23 @@ class TestBuildMultipile:
         assert json.loads(out)["size"] == 4
         assert len(json.loads(out_path.read_text())["boxes"]) == 4
 
+    def test_float_leaf_factor_is_input_error_on_every_call(self, tmp_path, capsys):
+        # a factor on axis 0 in every leaf is valid, and the root overrides
+        # it; 0.0 equals 0, so only a type-exact key keeps the malformed
+        # leaves from hitting the valid leaf's cached box
+        def with_leaf_p(p):
+            obj = tree_obj()
+            for child in obj["tree"]["children"].values():
+                for leaf in child["children"].values():
+                    leaf["leaf"][0] = {"p": p, "b": 0}
+            return obj
+
+        good = write(tmp_path, "good.json", with_leaf_p(0))
+        bad = write(tmp_path, "bad.json", with_leaf_p(0.0))
+        for path, code in [(bad, 2), (good, 0), (bad, 2)]:
+            assert main(["build-multipile", path]) == code
+            capsys.readouterr()
+
     def test_bad_tree_is_property_error(self, tmp_path, capsys):
         system = tiling_system(SPEC)
         leaf = Leaf(Box(system, (None, None)))

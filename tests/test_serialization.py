@@ -45,6 +45,12 @@ class TestMemo:
         H = family_from_obj({**obj, "boxes": [obj["boxes"][1]]})
         assert H.boxes[0] is G.boxes[1]
 
+    def test_key_order_does_not_change_the_box(self):
+        obj = one_axis_family_obj()
+        G = family_from_obj(obj)
+        H = family_from_obj({**obj, "boxes": [[{"b": 1, "p": 0}]]})
+        assert H.boxes[0] == G.boxes[1]
+
     @pytest.mark.parametrize(
         "system, count",
         [
@@ -61,9 +67,10 @@ class TestMemo:
 
     # each names the exception that the first decode raises; a malformed
     # system or box is not cached, so every later decode raises it again,
-    # also right after the valid family it differs from was decoded (True
-    # and 3.0 compare equal to the valid file's 1 and 3, so only a key that
-    # tells JSON types apart keeps them from hitting its cache entry)
+    # also right after the valid family it differs from was decoded (True,
+    # False, 0.0 and 3.0 compare equal to the valid file's 1, 0, 0 and 3, so
+    # only a key that tells JSON types apart keeps them from hitting its
+    # cache entry)
     @pytest.mark.parametrize(
         "obj, exc",
         [
@@ -75,6 +82,9 @@ class TestMemo:
                 IndependenceError,
             ),
             (with_factor({"p": 9, "b": 0}), IndexError),
+            (with_factor({"p": 0.0, "b": 0}), ValueError),
+            (with_factor({"p": False, "b": 0}), ValueError),
+            (with_factor({"p": 0, "b": 0.0}), ValueError),
         ],
         ids=[
             "element-true",
@@ -82,6 +92,9 @@ class TestMemo:
             "overlapping-blocks",
             "dependent-partitions",
             "factor-out-of-range",
+            "factor-p-float",
+            "factor-p-false",
+            "factor-b-float",
         ],
     )
     def test_malformed_raises_on_every_call(self, obj, exc):

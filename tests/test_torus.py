@@ -4,10 +4,12 @@ import tracemalloc
 
 import pytest
 
+import kellerpack.boxes
 from kellerpack import (
     TorusSpec,
     TorusTiling,
     c_stats,
+    census,
     enumerate_all_tilings,
     enumerate_tilings,
     extremal_p_value,
@@ -27,7 +29,7 @@ from kellerpack.errors import (
     RecipeError,
 )
 from kellerpack.serialization import tiling_from_obj, tiling_to_obj
-from kellerpack.torus import _start_factors, require_valid
+from kellerpack.torus import _start_boxes, _start_factors, require_valid
 
 
 GRID = TorusTiling(TorusSpec((2, 2), (2, 2)), ((0, 0), (0, 2), (2, 0), (2, 2)))
@@ -278,6 +280,30 @@ class TestBridge:
             for v, (p, block) in enumerate(row):
                 assert p == v % spec.q[axis]
                 assert system.partition(axis, p).blocks[block] >> v & 1
+
+    def test_tilings_sharing_a_start_share_its_box(self):
+        G, H = to_box_family(GRID), to_box_family(LAMINATED)
+        assert GRID.starts[:2] == LAMINATED.starts[:2] == ((0, 0), (0, 2))
+        assert G.boxes[0] is H.boxes[0] and G.boxes[1] is H.boxes[1]
+
+    def test_census_shadows_each_start_box_once(self, monkeypatch):
+        # 744 raw tilings of 8 boxes on 3 axes, but only 64 starts
+        spec = TorusSpec((2, 2, 2), (2, 2, 2))
+        real = kellerpack.boxes._shadow_mask
+        calls = []
+
+        def counting(K, axis):
+            calls.append((K, axis))
+            return real(K, axis)
+
+        monkeypatch.setattr(kellerpack.boxes, "_shadow_mask", counting)
+        _start_boxes.cache_clear()
+        fresh = census(spec, frozenset())
+        assert fresh.tilings_total == 744
+        assert 0 < len(calls) <= spec.n_cells * spec.dimension
+        shadowed = len(calls)
+        assert census(spec, frozenset()) == fresh
+        assert len(calls) == shadowed
 
     def test_grid_c_stats(self):
         G = to_box_family(GRID)
