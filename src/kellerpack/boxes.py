@@ -12,10 +12,11 @@ once and transposes its boxes' rows.  Every partition-status table, the
 family's own and each subfamily's that the multipile recognizer reads,
 is built from those rows: per axis, whether each partition the boxes
 use is hidden, i.e. whether the boxes over every block cast one and the
-same shadow.  c_stats, classify_partition and is_pile read the family's
-own table, which is cached on the instance with the rows.
-all_boxes lists every box of a system, and keller_families every Keller
-family, by a clique walk.
+same shadow.  c_stats and classify_partition read the family's own
+table, cached on the instance with the rows.  BoxFamily._pile is the one
+pile test, "laminated and hidden", of is_pile and of the multipile
+recognizer and constructor.  all_boxes lists every box of a system, and
+keller_families every Keller family, by a clique walk.
 """
 
 from __future__ import annotations
@@ -250,16 +251,33 @@ class BoxFamily:
         """The family's own partition-status table."""
         return self._status(range(len(self.boxes)))
 
+    def _pile(self, mask: int, axis: int, p: int, table=None) -> Optional[list[int]]:
+        """The one pile test: the masks of the boxes at `mask` over each
+        block of p if each carries a block of p on `axis` and p is hidden
+        there in `table`, their status table (by default the family's own,
+        for the full mask), else None.  No block of a pile is empty."""
+        subs = [0] * self.system.families[axis][p].n_blocks
+        for i, row in enumerate(self._rows[axis]):
+            if mask >> i & 1:
+                if row is None or row[0].partition != p:
+                    return None
+                subs[row[0].block] |= 1 << i
+        hidden = (self._hidden if table is None else table)[axis][p]
+        return subs if hidden else None
+
     @cached_property
     def _c_stats(self) -> "CStats":
-        hidden = tuple(
-            frozenset(p for p, h in table.items() if h) for table in self._hidden
-        )
+        hidden = hidden_sets(self._hidden)
         c_per_axis = tuple(
             sum(self.system.partition(axis, p).n_blocks - 1 for p in hid)
             for axis, hid in enumerate(hidden)
         )
         return CStats(hidden, c_per_axis, sum(c_per_axis))
+
+
+def hidden_sets(table: Sequence[dict[int, bool]]) -> tuple[frozenset[int], ...]:
+    """Per axis, the partitions a partition-status table marks hidden."""
+    return tuple(frozenset(p for p, h in t.items() if h) for t in table)
 
 
 def keller_pair(K: Box, L: Box) -> bool:
@@ -436,19 +454,11 @@ def c_stats(G: BoxFamily) -> CStats:
     return G._c_stats
 
 
-def is_laminated(G: BoxFamily, axis: int, p: int) -> bool:
-    """True iff every box's factor on `axis` is a block of partition p."""
-    return all(
-        f is not None and f.partition == p
-        for f in (K.factors[axis] for K in G.boxes)
-    )
-
-
 def is_pile(C: BoxFamily, axis: int, p: int) -> bool:
     """Laminated with respect to p and a suit for an axis-cylinder."""
-    if C.is_empty or not is_keller_family(C) or not is_laminated(C, axis, p):
-        return False
-    return classify_partition(C, axis, p) is PartitionStatus.HIDDEN
+    C.system.partition(axis, p)  # IndexError for an axis or partition it lacks
+    full = (1 << len(C)) - 1
+    return not C.is_empty and is_keller_family(C) and C._pile(full, axis, p) is not None
 
 
 def elementary_aggregate(C: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:
@@ -475,10 +485,9 @@ def pile_rewrite(G: BoxFamily, axis: int, p: int, A: int) -> BoxFamily:
     if classify_partition(G, axis, p) is not PartitionStatus.HIDDEN:
         raise NotHiddenError("partition is not hidden in the family")
     C = restrict_to_partition(G, axis, p)
-    agg = elementary_aggregate(C, axis, p, A)
     pile = set(C.boxes)
     remaining = tuple(K for K in G.boxes if K not in pile)
-    return BoxFamily(G.system, remaining + agg.boxes)
+    return BoxFamily(G.system, remaining + elementary_aggregate(C, axis, p, A).boxes)
 
 
 @dataclass(frozen=True)
@@ -504,6 +513,16 @@ def theorem_b_report(G: BoxFamily) -> TheoremBReport:
     )
 
 
+def partition_defect(G: BoxFamily) -> Optional[str]:
+    """Why G's boxes do not partition X, or None when they do."""
+    P = realize(G)
+    if not P.is_full():
+        return "does not cover X"
+    if sum(K.volume() for K in G.boxes) != P.cardinality():
+        return "boxes overlap"
+    return None
+
+
 def line_partition_check(
     G: BoxFamily, point: Sequence[int], axis: int
 ) -> Partition:
@@ -514,11 +533,9 @@ def line_partition_check(
     quantifier over all partitions of the ground set is infeasible, but the
     proofs only ever consume line-induced partitions.
     """
-    P = realize(G)
-    if not P.is_full():
-        raise NotPartitionOfXError("family does not cover X")
-    if sum(K.volume() for K in G.boxes) != P.cardinality():
-        raise NotPartitionOfXError("family boxes overlap")
+    defect = partition_defect(G)
+    if defect is not None:
+        raise NotPartitionOfXError(f"family {defect}")
     lm = line_mask(G.system.axis_sizes, point, axis)
     induced: list[int] = []
     for K in G.boxes:

@@ -39,7 +39,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .hats import hats_disjoint, verify_box_count
-from .multipiles import build_multipile, require_theorem_b
+from .multipiles import build_multipile, extremal_p_value, require_theorem_b
 from .serialization import (
     detect_and_load,
     dump_json,
@@ -158,7 +158,8 @@ def cmd_analyze(args) -> int:
         spec = obj.spec
         size = spec.n_cubes
         # p(T) <= (n^d - 1)/(n - 1) is proved for equal sides n only
-        bound = (size - 1) // (spec.m[0] - 1) if spec.is_uniform() else None
+        uniform = spec.is_uniform()
+        bound = extremal_p_value(spec.m, range(spec.dimension)) if uniform else None
         payload = {
             "p_per_axis": [sorted(v) for v in params.per_axis],
             "p_total": params.total,

@@ -20,7 +20,7 @@ from .boxes import (
     Box,
     BoxFamily,
     is_keller_family,
-    realize,
+    partition_defect,
     require_keller,
 )
 from .errors import (
@@ -148,8 +148,7 @@ def verify_box_count(G: BoxFamily) -> BoxCountReport:
     require_keller(G)
     if not all(K.is_proper for K in G.boxes):
         raise NotPartitionError("all boxes must be proper")
-    P = realize(G)
-    if not P.is_full() or sum(K.volume() for K in G.boxes) != P.cardinality():
+    if partition_defect(G) is not None:
         raise NotPartitionError("family is not a partition of X")
     measure_sum = sum((hat_measure(K) for K in G.boxes), Fraction(0))
     implied: Optional[int] = 1

@@ -3,12 +3,15 @@
 A multipile is either a singleton box family, or a pile laminated with
 respect to some nontrivial partition whose per-block restrictions are
 multipiles hiding pairwise disjoint partition sets on every other axis.
-Multipiles are exactly the families attaining c(G) = |G| - 1.
+Multipiles are exactly the families attaining c(G) = |G| - 1.  Each pile
+test here, in is_multipile's refusal, the recognizer and the constructor,
+is BoxFamily._pile, the one test of "laminated and hidden".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Collection, Optional, Sequence, Union
 
 from .boxes import (
@@ -16,10 +19,8 @@ from .boxes import (
     Box,
     BoxFamily,
     CStats,
-    PartitionStatus,
     c_stats,
-    classify_partition,
-    is_laminated,
+    hidden_sets,
     require_keller,
 )
 from .errors import DisjointnessError, IllFormedTreeError, TheoremViolationError
@@ -53,12 +54,12 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     Candidates are tried axis-ascending.  A lamination partition holds
     every box's factor on its axis, so on each axis only the first box's
     partition can laminate, and the returned witness is deterministic.
-    A family with no hidden lamination is refused before the recursion's
-    tables are built.
+    A family that is a pile for none of them is refused before the
+    recursion's tables are built.
     """
     require_keller(G)
-    if len(G) > 1 and not any(
-        is_laminated(G, axis, f.partition) and G._hidden[axis][f.partition]
+    if len(G) > 1 and all(
+        G._pile((1 << len(G)) - 1, axis, f.partition) is None
         for axis, f in enumerate(G.boxes[0].factors)
         if f is not None
     ):
@@ -87,14 +88,10 @@ def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
 def _recognize(G: BoxFamily) -> MultipileResult:
     """The recursion over subfamilies of G, as bit masks over its boxes,
     memoized per mask.  A subfamily of a Keller family is Keller, so none
-    is checked again.  It reads G._rows, each box's factor and shadow per
-    axis, which each box computes once, and each mask's partition-status
-    table, G._status of its boxes, built from those rows; the full mask's
-    is G._hidden."""
-    rows = G._rows
-    families = G.system.families
-    full = (1 << len(G)) - 1
-    tables = {full: G._hidden}
+    is checked again.  Each node is decided by G._pile, the one pile test,
+    on the mask's partition-status table, G._status of its boxes, built
+    from the rows each box computes once; the full mask's is G._hidden."""
+    tables = {(1 << len(G)) - 1: G._hidden}
     memo: dict[int, MultipileResult] = {}
 
     def table(mask: int) -> tuple[dict[int, bool], ...]:
@@ -103,16 +100,8 @@ def _recognize(G: BoxFamily) -> MultipileResult:
         return tables[mask]
 
     def node(mask: int, axis: int, p: int) -> Optional[Node]:
-        # one pass over the mask's rows: laminated by p, and the boxes
-        # over each block of p
-        subs = [0] * families[axis][p].n_blocks
-        for i in elems_of(mask):
-            row = rows[axis][i]
-            if row is None or row[0].partition != p:
-                return None
-            subs[row[0].block] |= 1 << i
-        # laminated and hidden: a pile, so no block is empty
-        if not table(mask)[axis][p]:
+        subs = G._pile(mask, axis, p, table(mask))
+        if subs is None:
             return None
         children = []
         for sub in subs:
@@ -120,8 +109,7 @@ def _recognize(G: BoxFamily) -> MultipileResult:
             if not child.verdict:
                 return None
             children.append(child.tree)
-        hidden = [[{q for q, h in t.items() if h} for t in table(sub)] for sub in subs]
-        if _hidden_clash(hidden, axis) is not None:
+        if _hidden_clash([hidden_sets(table(sub)) for sub in subs], axis) is not None:
             return None
         return Node(axis, p, tuple(children))
 
@@ -140,23 +128,18 @@ def _recognize(G: BoxFamily) -> MultipileResult:
                 memo[mask] = MultipileResult(found is not None, found)
         return memo[mask]
 
-    return result(full)
+    return result((1 << len(G)) - 1)
 
 
 def _hidden_clash(
     child_hidden: Sequence[Sequence[Collection[int]]], axis: int
 ) -> Optional[int]:
-    """The first axis other than `axis` on which two children hide the same
-    partition, or None when their hidden sets, given per child and axis,
-    are pairwise disjoint."""
+    """The first axis other than `axis` on which two children, given by
+    their hidden sets per axis, hide one partition; None if there is none."""
     for k in range(len(child_hidden[0])):
-        if k == axis:
-            continue
-        seen: set[int] = set()
-        for hidden in child_hidden:
-            if seen & hidden[k]:
-                return k
-            seen |= hidden[k]
+        sets = [hidden[k] for hidden in child_hidden]
+        if k != axis and sum(map(len, sets)) != len(set().union(*sets)):
+            return k
     return None
 
 
@@ -177,21 +160,24 @@ def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
         raise IllFormedTreeError(
             f"node needs exactly {part.n_blocks} children, got {len(tree.children)}"
         )
-    child_families = []
+    boxes: tuple[Box, ...] = ()
     for b, child in enumerate(tree.children):
-        sub = _build(system, child)
-        boxes = tuple(
-            K.with_factor(tree.axis, BlockRef(tree.partition, b)) for K in sub.boxes
-        )
-        child_families.append(BoxFamily(system, boxes))
-    # boxes under different blocks differ on tree.axis: no duplicates here
-    G = BoxFamily(system, tuple(K for fam in child_families for K in fam.boxes))
-    if classify_partition(G, tree.axis, tree.partition) is PartitionStatus.EXPOSED:
+        sub = _build(system, child).boxes
+        over = tuple(K.with_factor(tree.axis, BlockRef(tree.partition, b)) for K in sub)
+        # a child's duplicates raise here, before a later sibling is walked
+        boxes += BoxFamily(system, over).boxes
+    # boxes under different blocks differ on tree.axis: no duplicates here,
+    # and they are Keller pairs, so G is Keller iff every child is
+    G = BoxFamily(system, boxes)
+    # every box is laminated by construction, so None means exposed
+    subs = G._pile((1 << len(G)) - 1, tree.axis, tree.partition)
+    if subs is None:
         raise IllFormedTreeError(
             "sibling subtrees realize different shadows; the node is not a pile"
         )
+    require_keller(G)
     clash = _hidden_clash(
-        [c_stats(fam).hidden for fam in child_families], tree.axis
+        [hidden_sets(G._status(elems_of(mask))) for mask in subs], tree.axis
     )
     if clash is not None:
         raise DisjointnessError(
@@ -220,9 +206,4 @@ def extremal_p_value(m: Sequence[int], ordering: Sequence[int]) -> int:
         raise ValueError("ordering must be a permutation of the axes")
     if any(v < 2 for v in m):
         raise ValueError("all sides must be at least 2")
-    total = 1
-    prod = 1
-    for idx in ordering[:-1]:
-        prod *= m[idx]
-        total += prod
-    return total
+    return sum(prod(m[i] for i in ordering[:k]) for k in range(len(m)))

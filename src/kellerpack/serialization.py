@@ -15,7 +15,7 @@ multipile tree json:
 Rationals are serialized as "p/q" strings, never floats.  Block order is
 canonical on write and tolerated unordered on read.
 
-family_from_obj takes JSON values, as json.loads returns them.  It decodes
+The decoders take JSON values, as json.loads returns them.  They decode
 each distinct system and each distinct box of a system once per process,
 keyed by marshal bytes (version 2, with no back-references), which tell
 1, 1.0 and True apart.  A malformed system or box is never cached, so it
@@ -71,6 +71,14 @@ def system_to_obj(system: PartitionSystem) -> dict[str, Any]:
 
 
 def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
+    """Equal JSON, a family's or a tree's, decodes to one object per process."""
+    return _system(marshal.dumps(obj, 2))
+
+
+@lru_cache(maxsize=16)
+def _system(key: bytes) -> PartitionSystem:
+    """The system of its marshal bytes; lru_cache caches no exception."""
+    obj = marshal.loads(key)
     sizes = []
     families = []
     for axis in obj["axes"]:
@@ -84,13 +92,6 @@ def system_from_obj(obj: dict[str, Any]) -> PartitionSystem:
         sizes.append(size)
         families.append(tuple(family))
     return PartitionSystem(tuple(sizes), tuple(families))
-
-
-@lru_cache(maxsize=16)
-def _system(key: bytes) -> PartitionSystem:
-    """system_from_obj on a system's marshal bytes, memoized; lru_cache
-    caches no exception."""
-    return system_from_obj(marshal.loads(key))
 
 
 # --- box families -------------------------------------------------------
@@ -130,7 +131,7 @@ def family_from_obj(
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         raw = json.loads(path.read_text())
-    system = _system(marshal.dumps(raw, 2))
+    system = system_from_obj(raw)
     return BoxFamily(
         system, tuple(_box(system, marshal.dumps(f, 2)) for f in obj["boxes"])
     )

@@ -459,6 +459,18 @@ def test_is_pile_matches_cylinder_oracle_on_every_keller_family():
     assert (checked, piles) == (1216, 168)
 
 
+def test_is_pile_bad_index_and_trivial_partition(grid_family):
+    C = restrict_to_partition(grid_family, 0, 0)
+    assert is_pile(C, 0, 0)
+    triv = len(C.system.families[0]) - 1
+    assert C.system.partition(0, triv).is_trivial
+    assert is_pile(C, 0, triv) is False
+    for axis, p in [(2, 0), (-1, 0), (0, triv + 1), (0, -1)]:
+        for family in (C, BoxFamily(C.system, ())):
+            with pytest.raises(IndexError, match=f"^no partition {p} on axis {axis}$"):
+                is_pile(family, axis, p)
+
+
 def _assert_status_table_matches_scan(G, members):
     """G's partition-status table of the boxes at `members` maps, on each
     axis, exactly the partitions they use, each to the point-scan verdict
@@ -527,6 +539,19 @@ class TestElementaryAggregate:
         C = BoxFamily(sys_, (Box(sys_, (BlockRef(0, 0), BlockRef(0, 0))),))
         with pytest.raises(NotPileError):
             elementary_aggregate(C, 0, 0, 0)
+
+    def test_trivial_partition_and_bad_block(self, grid_family):
+        C = restrict_to_partition(grid_family, 0, 0)
+        triv = next(
+            p
+            for p, part in enumerate(C.system.families[0])
+            if part.is_trivial
+        )
+        with pytest.raises(TrivialPartitionError):
+            elementary_aggregate(C, 0, triv, 0)
+        for A in (-1, 2):
+            with pytest.raises(IndexError, match=f"block index {A} out of range"):
+                elementary_aggregate(C, 0, 0, A)
 
 
 class TestPileRewrite:
@@ -610,6 +635,15 @@ class TestLinePartitionCheck:
         partial = BoxFamily(grid_family.system, grid_family.boxes[:2])
         with pytest.raises(NotPartitionOfXError):
             line_partition_check(partial, (0, 0), 0)
+
+    def test_overlap_rejected(self):
+        # the full box covers X, and the unit box lies inside it
+        sys_ = arc_system(2, 1, 2)
+        G = BoxFamily(
+            sys_, (Box(sys_, (None, None)), Box(sys_, (BlockRef(0, 0), BlockRef(0, 0))))
+        )
+        with pytest.raises(NotPartitionOfXError, match="^family boxes overlap$"):
+            line_partition_check(G, (0, 0), 0)
 
     def test_completeness_violation_detected(self):
         # splits {0}, {0,1}, {2}, {3}: the assembled partition

@@ -13,11 +13,12 @@ from kellerpack import (
     PParams,
     TorusSpec,
     TorusTiling,
+    census,
     enumerate_all_tilings,
     tiling_system,
     to_box_family,
 )
-from kellerpack.cli import main
+from kellerpack.cli import _load_tree, main
 from kellerpack.serialization import (
     family_to_obj,
     system_to_obj,
@@ -304,6 +305,32 @@ class TestCensusCommand:
         assert payload["p_histogram"] == {"2": 1, "3": 1}
         assert payload["config"]["m"] == "2,2"
 
+    @pytest.mark.parametrize("flags", ["translate", "translate,reflect"])
+    def test_symmetry_subset(self, capsys, flags):
+        code, out = run(
+            capsys, ["census", "--m", "2,2", "--q", "2,2", "--symmetry", flags]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        row = census(SPEC, frozenset(flags.split(",")))
+        assert payload["symmetry"] == sorted(flags.split(",")) == list(row.symmetry)
+        assert payload["p_histogram"] == {str(p): n for p, n in row.p_histogram.items()}
+        assert (
+            payload["total"],
+            payload["max_p"],
+            payload["bound"],
+            payload["equality"],
+            payload["multipiles"],
+            payload["attaining_multipile"],
+        ) == (
+            row.tilings_total,
+            row.max_p,
+            row.bound,
+            row.equality_count,
+            row.multipile_count,
+            list(row.attaining_multipile),
+        )
+
     def test_failed_bound_exits_4(self, monkeypatch, capsys):
         # the laminated tiling attains the bound, so a recognizer that
         # rejects it contradicts the equality case; the grid does not
@@ -454,6 +481,20 @@ class TestBuildMultipile:
         assert code == 0
         assert json.loads(out)["size"] == 4
         assert len(json.loads(out_path.read_text())["boxes"]) == 4
+
+    def test_leaves_share_the_decoded_system(self, tmp_path):
+        path = write(tmp_path, "tree.json", tree_obj())
+        decoded = [_load_tree(path) for _ in range(2)]
+        for system, tree in decoded:
+            nodes, leaves = [tree], []
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, Leaf):
+                    leaves.append(node)
+                else:
+                    nodes.extend(node.children)
+            assert len(leaves) == 4
+            assert all(leaf.box.system is system for leaf in leaves)
 
     def test_float_leaf_factor_is_input_error_on_every_call(self, tmp_path, capsys):
         # a factor on axis 0 in every leaf is valid, and the root overrides

@@ -23,7 +23,12 @@ from kellerpack import (
 )
 from kellerpack.acceptance import _census_families
 from kellerpack.boxes import keller_families
-from kellerpack.errors import DisjointnessError, IllFormedTreeError, NotKellerError
+from kellerpack.errors import (
+    DisjointnessError,
+    DuplicateBoxError,
+    IllFormedTreeError,
+    NotKellerError,
+)
 from kellerpack.serialization import tree_from_obj, tree_to_obj
 
 
@@ -154,6 +159,56 @@ class TestBuildMultipile:
         leaf = Leaf(Box(sys222, (None, None)))
         with pytest.raises(IllFormedTreeError):
             build_multipile(sys222, Node(0, 0, (leaf,)))
+
+    def test_leaf_from_another_system_rejected(self, sys222):
+        leaf = Leaf(Box(sys222, (None, None)))
+        other = Leaf(Box(arc_system(2, 1, 2), (None, None)))
+        with pytest.raises(
+            IllFormedTreeError, match="^leaf box belongs to a different system$"
+        ):
+            build_multipile(sys222, Node(0, 0, (leaf, other)))
+
+    @pytest.mark.parametrize("tree", ["tree", None, (0, 0, ())])
+    def test_non_tree_rejected(self, sys222, tree):
+        leaf = Leaf(Box(sys222, (None, None)))
+        for t in (tree, Node(0, 0, (leaf, tree))):
+            with pytest.raises(
+                IllFormedTreeError, match=r"^not a multipile tree: "
+            ) as exc:
+                build_multipile(sys222, t)
+            assert str(exc.value) == f"not a multipile tree: {tree!r}"
+
+    def test_child_duplicates_raise_before_a_later_sibling(self, sys222):
+        # child 0 is a multipile on its own, a pile on axis 0 by partition
+        # 1; the root's override to block 0 of partition 0 makes its two
+        # boxes one.  child 1 has the wrong number of children.
+        leaf = Leaf(Box(sys222, (None, None)))
+        tree = Node(0, 0, (Node(0, 1, (leaf, leaf)), Node(1, 0, (leaf,))))
+        with pytest.raises(DuplicateBoxError, match="^duplicate box in family$"):
+            build_multipile(sys222, tree)
+        with pytest.raises(IllFormedTreeError):
+            build_multipile(sys222, Node(0, 0, (leaf, Node(1, 0, (leaf,)))))
+
+    def test_child_that_stops_being_keller(self, sys222):
+        # the extremal tree laminated on axis 0 by partition 1, under a root
+        # that overrides axis 0 to partition 0: its boxes stay distinct,
+        # but boxes over different axis-1 partitions are no Keller pair
+        leaf = Leaf(Box(sys222, (None, None)))
+        child = Node(0, 1, (Node(1, 0, (leaf, leaf)), Node(1, 1, (leaf, leaf))))
+        assert len(build_multipile(sys222, child)) == 4
+        message = "^family violates Keller's condition$"
+        with pytest.raises(NotKellerError, match=message):
+            build_multipile(sys222, Node(0, 0, (child, child)))
+        # the same node one level down raises before its parent's own
+        # fault, a sibling with a different shadow, is reached
+        sys3 = arc_system(2, 2, 3)
+        leaf = Leaf(Box(sys3, (None,) * 3))
+        child = Node(0, 1, (Node(1, 0, (leaf, leaf)), Node(1, 1, (leaf, leaf))))
+        half = Leaf(Box(sys3, (BlockRef(0, 0), None, None)))
+        with pytest.raises(IllFormedTreeError, match="^sibling subtrees realize"):
+            build_multipile(sys3, Node(2, 0, (child, half)))
+        with pytest.raises(NotKellerError, match=message):
+            build_multipile(sys3, Node(2, 0, (Node(0, 0, (child, child)), half)))
 
     def test_round_trip_randomized(self):
         rng = random.Random(23)
