@@ -8,15 +8,16 @@ shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
 masks.  Each box computes its shadows once, as its row: per axis, its
 factor and shadow there.  Each BoxFamily computes its Keller verdict
-once and transposes its boxes' rows.  Every partition-status table, the
-family's own and each subfamily's that the multipile recognizer reads,
-is built from those rows: per axis, whether each partition the boxes
-use is hidden, i.e. whether the boxes over every block cast one and the
-same shadow.  c_stats and classify_partition read the family's own
-table, cached on the instance with the rows.  BoxFamily._pile is the one
-pile test, "laminated and hidden", of is_pile and of the multipile
-recognizer and constructor.  all_boxes lists every box of a system, and
-keller_families every Keller family, by a clique walk.
+once and transposes its boxes' rows.  BoxFamily._status(mask) is the
+one partition-status table, of the family (the full mask) or of any
+subfamily (a bit mask over its boxes): per axis, the frozenset of
+partitions the boxes hide, i.e. whose blocks all cast one and the same
+shadow.  It is built from the rows once per mask and kept on the family.
+c_stats and classify_partition read the full mask's table, and
+BoxFamily._pile, the one pile test, "laminated and hidden", of is_pile
+and of the multipile recognizer and constructor, reads the pile's own.
+all_boxes lists every box of a system, and keller_families every Keller
+family, by a clique walk.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .errors import (
     EmptyFamilyError,
     NotHiddenError,
     NotKellerError,
-    NotPartitionOfXError,
+    NotPartitionError,
     NotPileError,
     SystemMismatchError,
     TrivialPartitionError,
 )
-from .partitions import Partition, PartitionSystem
+from .partitions import Partition, PartitionSystem, elems_of
 
 
 class BlockRef(NamedTuple):
@@ -226,12 +227,21 @@ class BoxFamily:
             ((),) * self.system.dimension
         )
 
-    def _status(self, members: Sequence[int]) -> tuple[dict[int, bool], ...]:
-        """The partition-status table of the boxes at indices `members`:
-        per axis, each partition they use there mapped to whether all of
-        its blocks cast one and the same shadow, a block's shadow being
-        the OR of its boxes' shadows (0 for a block none of them uses)."""
-        tables = []
+    @cached_property
+    def _tables(self) -> dict[int, tuple[frozenset[int], ...]]:
+        """The partition-status tables built so far, by mask."""
+        return {}
+
+    def _status(self, mask: int) -> tuple[frozenset[int], ...]:
+        """The partition-status table of the boxes at bit mask `mask`, built
+        once per mask: per axis, the partitions they hide, those all of
+        whose blocks cast one and the same shadow (a block's shadow is the
+        OR of its boxes' there, 0 if none of them uses it)."""
+        table = self._tables.get(mask)
+        if table is not None:
+            return table
+        members = elems_of(mask)
+        hidden = []
         for parts, rows in zip(self.system.families, self._rows):
             shadows: dict[int, list[int]] = {}
             for i in members:
@@ -241,43 +251,31 @@ class BoxFamily:
                     if masks is None:
                         masks = shadows[f.partition] = [0] * parts[f.partition].n_blocks
                     masks[f.block] |= shadow
-            tables.append(
-                {p: masks.count(masks[0]) == len(masks) for p, masks in shadows.items()}
-            )
-        return tuple(tables)
+            same = (p for p, m in shadows.items() if m.count(m[0]) == len(m))
+            hidden.append(frozenset(same))
+        table = self._tables[mask] = tuple(hidden)
+        return table
 
-    @cached_property
-    def _hidden(self) -> tuple[dict[int, bool], ...]:
-        """The family's own partition-status table."""
-        return self._status(range(len(self.boxes)))
-
-    def _pile(self, mask: int, axis: int, p: int, table=None) -> Optional[list[int]]:
+    def _pile(self, mask: int, axis: int, p: int) -> Optional[list[int]]:
         """The one pile test: the masks of the boxes at `mask` over each
-        block of p if each carries a block of p on `axis` and p is hidden
-        there in `table`, their status table (by default the family's own,
-        for the full mask), else None.  No block of a pile is empty."""
+        block of p if each carries a block of p on `axis` and they hide p
+        there, else None.  No block of a pile is empty."""
         subs = [0] * self.system.families[axis][p].n_blocks
         for i, row in enumerate(self._rows[axis]):
             if mask >> i & 1:
                 if row is None or row[0].partition != p:
                     return None
                 subs[row[0].block] |= 1 << i
-        hidden = (self._hidden if table is None else table)[axis][p]
-        return subs if hidden else None
+        return subs if p in self._status(mask)[axis] else None
 
     @cached_property
     def _c_stats(self) -> "CStats":
-        hidden = hidden_sets(self._hidden)
+        hidden = self._status((1 << len(self.boxes)) - 1)
         c_per_axis = tuple(
             sum(self.system.partition(axis, p).n_blocks - 1 for p in hid)
             for axis, hid in enumerate(hidden)
         )
         return CStats(hidden, c_per_axis, sum(c_per_axis))
-
-
-def hidden_sets(table: Sequence[dict[int, bool]]) -> tuple[frozenset[int], ...]:
-    """Per axis, the partitions a partition-status table marks hidden."""
-    return tuple(frozenset(p for p, h in t.items() if h) for t in table)
 
 
 def keller_pair(K: Box, L: Box) -> bool:
@@ -418,19 +416,21 @@ def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:
 
     Hidden means the restriction to the partition is a suit for an
     axis-cylinder: every block of the partition casts one and the same
-    shadow mask on the remaining axes.  The status is read from the
-    family's cached partition-status table: absent if the partition is
-    not in it.  The point-scan oracle, which the tests check this
-    against, is is_cylinder on the realized restriction.
+    shadow mask on the remaining axes.  Hidden is read from the family's
+    partition-status table; otherwise the partition is exposed if some
+    box uses it and absent if none does.  The point-scan oracle, which
+    the tests check this against, is is_cylinder on the realized
+    restriction.
     """
     part = G.system.partition(axis, p)
     if part.is_trivial:
         raise TrivialPartitionError("classification is for nontrivial partitions")
     G.require_nonempty()
-    hidden = G._hidden[axis].get(p)
-    if hidden is None:
-        return PartitionStatus.ABSENT
-    return PartitionStatus.HIDDEN if hidden else PartitionStatus.EXPOSED
+    if p in G._status((1 << len(G)) - 1)[axis]:
+        return PartitionStatus.HIDDEN
+    if any(row is not None and row[0].partition == p for row in G._rows[axis]):
+        return PartitionStatus.EXPOSED
+    return PartitionStatus.ABSENT
 
 
 @dataclass(frozen=True)
@@ -445,8 +445,8 @@ class CStats:
 def c_stats(G: BoxFamily) -> CStats:
     """Hidden partitions and c totals of a Keller family.
 
-    The hidden sets are the hidden entries of the family's partition-status
-    table, the one classify_partition reads, and the result is cached on
+    The hidden sets are the family's partition-status table, the one
+    classify_partition reads, and the result is cached on
     the family, as is its Keller verdict.  The tests check the hidden sets
     against the is_cylinder point scan.
     """
@@ -535,7 +535,7 @@ def line_partition_check(
     """
     defect = partition_defect(G)
     if defect is not None:
-        raise NotPartitionOfXError(f"family {defect}")
+        raise NotPartitionError(f"family {defect}")
     lm = line_mask(G.system.axis_sizes, point, axis)
     induced: list[int] = []
     for K in G.boxes:

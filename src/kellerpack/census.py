@@ -311,6 +311,12 @@ def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list
     return found
 
 
+def check_cells(n_cells: int, budget: int) -> None:
+    """Refuse more cells than the budget."""
+    if n_cells > budget:
+        raise BudgetExceededError(f"{n_cells} cells exceed the budget of {budget}")
+
+
 def check_budget(
     spec: TorusSpec,
     budget: Optional[int],
@@ -321,10 +327,7 @@ def check_budget(
     _group lists any permutation.  A budget of None is
     DEFAULT_CELL_BUDGET: only the CLI reads KELLERPACK_CELL_BUDGET."""
     limit = budget if budget is not None else DEFAULT_CELL_BUDGET
-    if spec.n_cells > limit:
-        raise BudgetExceededError(
-            f"{spec.n_cells} cells exceed the budget of {limit}"
-        )
+    check_cells(spec.n_cells, limit)
     order = _group_order(spec, symmetry)
     if order * spec.n_cells > limit * limit:
         raise BudgetExceededError(

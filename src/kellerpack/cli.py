@@ -28,7 +28,7 @@ from .boxes import is_keller_family, keller_pair
 from .census import (
     ALL_SYMMETRIES,
     census,
-    check_budget,
+    check_cells,
     default_cell_budget,
     enumerate_tilings,
 )
@@ -120,12 +120,13 @@ def _symmetry(args) -> frozenset[str]:
 
 
 def _load(path: str):
-    """Read a tiling or box-family file.  A tiling whose grid exceeds the
-    cell budget raises BudgetExceededError before any cell is walked; it
-    is raised outside _input, as it is no input error."""
+    """Read a tiling or box-family file.  Over the cell budget, it raises
+    BudgetExceededError before any cell is walked or shadow cast, outside
+    _input, as it is no input error."""
     obj = _input(detect_and_load, path)
-    if isinstance(obj, TorusTiling):
-        check_budget(obj.spec, default_cell_budget())
+    tiling = isinstance(obj, TorusTiling)
+    cells = obj.spec.n_cells if tiling else prod(obj.system.axis_sizes)
+    check_cells(cells, default_cell_budget())
     return obj
 
 
@@ -258,6 +259,8 @@ def cmd_verify(args) -> int:
 
 def cmd_build_multipile(args) -> int:
     system, tree = _input(_load_tree, args.path)
+    # refused as _load refuses a family, before _build casts a shadow
+    check_cells(prod(system.axis_sizes), default_cell_budget())
     G = build_multipile(system, tree)
     out = family_to_obj(G)
     if args.out:

@@ -73,8 +73,8 @@ class CompletenessError(KellerpackError):
     """A line-induced partition uses known blocks but is not in the family."""
 
 
-class NotPartitionOfXError(KellerpackError):
-    """The family does not partition the full point set."""
+class NotPartitionError(KellerpackError):
+    """The family is not a partition of the point set."""
 
 
 # --- multipiles ---------------------------------------------------------
@@ -88,10 +88,6 @@ class DisjointnessError(KellerpackError):
 
 
 # --- hat embedding ------------------------------------------------------
-
-class NotPartitionError(KellerpackError):
-    """The family is not a partition of the point set."""
-
 
 class PreconditionError(KellerpackError):
     """A stated precondition of a compound check failed."""

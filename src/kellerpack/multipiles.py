@@ -5,7 +5,9 @@ respect to some nontrivial partition whose per-block restrictions are
 multipiles hiding pairwise disjoint partition sets on every other axis.
 Multipiles are exactly the families attaining c(G) = |G| - 1.  Each pile
 test here, in is_multipile's refusal, the recognizer and the constructor,
-is BoxFamily._pile, the one test of "laminated and hidden".
+is BoxFamily._pile, the one test of "laminated and hidden", and every
+set of hidden partitions is BoxFamily._status(mask), the table of the
+boxes at a bit mask, which a family builds once per mask.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .boxes import (
     BoxFamily,
     CStats,
     c_stats,
-    hidden_sets,
     require_keller,
 )
 from .errors import DisjointnessError, IllFormedTreeError, TheoremViolationError
-from .partitions import PartitionSystem, elems_of
+from .partitions import PartitionSystem
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     Candidates are tried axis-ascending.  A lamination partition holds
     every box's factor on its axis, so on each axis only the first box's
     partition can laminate, and the returned witness is deterministic.
-    A family that is a pile for none of them is refused before the
-    recursion's tables are built.
+    A family that is a pile for none of them is refused before any
+    subfamily's table is built.
     """
     require_keller(G)
     if len(G) > 1 and all(
@@ -89,18 +90,12 @@ def _recognize(G: BoxFamily) -> MultipileResult:
     """The recursion over subfamilies of G, as bit masks over its boxes,
     memoized per mask.  A subfamily of a Keller family is Keller, so none
     is checked again.  Each node is decided by G._pile, the one pile test,
-    on the mask's partition-status table, G._status of its boxes, built
-    from the rows each box computes once; the full mask's is G._hidden."""
-    tables = {(1 << len(G)) - 1: G._hidden}
+    and its children's hidden sets are compared; both read G._status, the
+    partition-status table of a mask, which G builds once per mask."""
     memo: dict[int, MultipileResult] = {}
 
-    def table(mask: int) -> tuple[dict[int, bool], ...]:
-        if mask not in tables:
-            tables[mask] = G._status(elems_of(mask))
-        return tables[mask]
-
     def node(mask: int, axis: int, p: int) -> Optional[Node]:
-        subs = G._pile(mask, axis, p, table(mask))
+        subs = G._pile(mask, axis, p)
         if subs is None:
             return None
         children = []
@@ -109,7 +104,7 @@ def _recognize(G: BoxFamily) -> MultipileResult:
             if not child.verdict:
                 return None
             children.append(child.tree)
-        if _hidden_clash([hidden_sets(table(sub)) for sub in subs], axis) is not None:
+        if _hidden_clash([G._status(sub) for sub in subs], axis) is not None:
             return None
         return Node(axis, p, tuple(children))
 
@@ -176,9 +171,7 @@ def _build(system: PartitionSystem, tree: MultipileTree) -> BoxFamily:
             "sibling subtrees realize different shadows; the node is not a pile"
         )
     require_keller(G)
-    clash = _hidden_clash(
-        [hidden_sets(G._status(elems_of(mask))) for mask in subs], tree.axis
-    )
+    clash = _hidden_clash([G._status(mask) for mask in subs], tree.axis)
     if clash is not None:
         raise DisjointnessError(
             f"sibling subtrees both hide a partition on axis {clash}"

@@ -16,10 +16,10 @@ Rationals are serialized as "p/q" strings, never floats.  Block order is
 canonical on write and tolerated unordered on read.
 
 The decoders take JSON values, as json.loads returns them.  They decode
-each distinct system and each distinct box of a system once per process,
+each distinct system and each box of a system object once per process,
 keyed by marshal bytes (version 2, with no back-references), which tell
-1, 1.0 and True apart.  A malformed system or box is never cached, so it
-raises on every call.
+1, 1.0 and True apart, so a box carries the system it is decoded in.  A
+malformed system or box is never cached, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -109,9 +109,10 @@ def _factor_from_obj(obj: Any) -> Optional[BlockRef]:
 
 
 @lru_cache(maxsize=4096)
-def _box(system: PartitionSystem, key: bytes) -> Box:
-    """The decoder's one box constructor, on the marshal bytes of a box's
-    factor list: each (system, key) is checked and built once."""
+def _box(system_id: int, system: PartitionSystem, key: bytes) -> Box:
+    """The decoder's one box constructor, on id(system) and the marshal
+    bytes of a box's factor list; the cached box keeps its system alive,
+    so that no other system takes the id while the entry lives."""
     return Box(system, tuple(_factor_from_obj(f) for f in marshal.loads(key)))
 
 
@@ -132,9 +133,8 @@ def family_from_obj(
             path = base_dir / path
         raw = json.loads(path.read_text())
     system = system_from_obj(raw)
-    return BoxFamily(
-        system, tuple(_box(system, marshal.dumps(f, 2)) for f in obj["boxes"])
-    )
+    boxes = tuple(_box(id(system), system, marshal.dumps(f, 2)) for f in obj["boxes"])
+    return BoxFamily(system, boxes)
 
 
 # --- tilings ------------------------------------------------------------
@@ -167,7 +167,7 @@ def tree_to_obj(tree: MultipileTree) -> dict[str, Any]:
 
 def tree_from_obj(obj: dict[str, Any], system: PartitionSystem) -> MultipileTree:
     if "leaf" in obj:
-        return Leaf(_box(system, marshal.dumps(obj["leaf"], 2)))
+        return Leaf(_box(id(system), system, marshal.dumps(obj["leaf"], 2)))
     children_raw = obj["children"]
     children = tuple(
         tree_from_obj(children_raw[str(b)], system)

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import kellerpack.boxes
+
 from kellerpack import (
     Box,
     CStats,
@@ -440,6 +442,40 @@ def test_tiling_over_the_cell_budget_exits_before_walking_cells(
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: 9000000 cells exceed the budget of 1024\n"
+
+
+# 2 x 300 x 300 x 300 = 54,000,000 cells, in a 277-byte family file:
+# casting the shadows of its two boxes ran for over a minute
+HUGE_SYSTEM = {
+    "axes": [{"size": 2, "partitions": [[[0], [1]]]}]
+    + [{"size": 300, "partitions": []}] * 3,
+    "unital": True,
+}
+HUGE_HALVES = [[{"p": 0, "b": b}, "full", "full", "full"] for b in (0, 1)]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_family_or_tree_over_the_cell_budget_exits_before_any_shadow(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.delenv("KELLERPACK_CELL_BUDGET", raising=False)
+
+    def no_shadow(*args):
+        raise AssertionError("a shadow was cast")
+
+    monkeypatch.setattr(kellerpack.boxes, "_shadow_mask", no_shadow)
+    if command == "build-multipile":
+        children = {str(b): {"leaf": leaf} for b, leaf in enumerate(HUGE_HALVES)}
+        tree = {"axis": 0, "partition": 0, "children": children}
+        obj = {"system": HUGE_SYSTEM, "tree": tree}
+    else:
+        obj = {"system": HUGE_SYSTEM, "boxes": HUGE_HALVES}
+    path = write(tmp_path, "huge.json", obj)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: 54000000 cells exceed the budget of 1024\n"
 
 
 def test_unwritable_dump_is_input_error(tmp_path, capsys):

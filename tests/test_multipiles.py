@@ -11,13 +11,16 @@ from kellerpack import (
     BoxFamily,
     Leaf,
     Node,
+    PartitionStatus,
     TorusSpec,
     TorusTiling,
     arc_system,
     build_multipile,
     c_stats,
+    classify_partition,
     extremal_p_value,
     is_multipile,
+    is_pile,
     realize,
     to_box_family,
 )
@@ -104,6 +107,52 @@ def test_recognizer_verdicts_and_trees_are_pinned():
     for G, r in zip(families, results):
         if r.verdict:
             assert set(build_multipile(G.system, r.tree).boxes) == set(G.boxes)
+
+
+def _count_status_builds(monkeypatch):
+    """Record (family, mask) of every BoxFamily._status call, and of each
+    call that builds a table: one whose mask the family has not cached."""
+    calls, builds = [], []
+    status = BoxFamily._status
+
+    def counting(G, mask):
+        calls.append((G, mask))
+        if mask not in G.__dict__.get("_tables", {}):
+            builds.append((G, mask))
+        return status(G, mask)
+
+    monkeypatch.setattr(BoxFamily, "_status", counting)
+    return calls, builds
+
+
+class TestStatusTables:
+    def test_a_second_pass_builds_no_table(self, monkeypatch):
+        G = laminated_family()
+        _, builds = _count_status_builds(monkeypatch)
+        assert is_multipile(G).verdict
+        masks = [mask for _, mask in builds]
+        # the family's own table and its subfamilies', each built once
+        assert len(masks) > 1 and len(masks) == len(set(masks))
+        assert is_multipile(G).verdict
+        assert c_stats(G).c_total == len(G) - 1
+        assert classify_partition(G, 0, 0) is PartitionStatus.HIDDEN
+        assert is_pile(G, 0, 0)
+        assert [mask for _, mask in builds] == masks
+
+    def test_the_constructor_and_recognizer_share_tables(self, sys222, monkeypatch):
+        leaf = Leaf(Box(sys222, (None, None)))
+        tree = Node(0, 0, (Node(1, 0, (leaf, leaf)), Node(1, 1, (leaf, leaf))))
+        calls, builds = _count_status_builds(monkeypatch)
+        G = build_multipile(sys222, tree)
+        built = [mask for H, mask in builds if H is G]
+        assert len(built) == len(set(built))
+        # _build compares the hidden sets of the root's two children, and
+        # the recognizer then reads the same two tables again
+        halves = G._pile((1 << len(G)) - 1, 0, 0)
+        assert len(halves) == 2
+        for half in halves:
+            assert built.count(half) == 1
+            assert sum(H is G and mask == half for H, mask in calls) >= 2
 
 
 class TestBuildMultipile:

@@ -51,6 +51,23 @@ class TestMemo:
         H = family_from_obj({**obj, "boxes": [[{"b": 1, "p": 0}]]})
         assert H.boxes[0] == G.boxes[1]
 
+    def test_boxes_carry_the_system_they_are_decoded_in(self):
+        obj = one_axis_family_obj()
+        reordered = {
+            "system": {"unital": True, "axes": obj["system"]["axes"]},
+            "boxes": obj["boxes"],
+        }
+        for o in (obj, reordered):
+            G = family_from_obj(o)
+            assert all(K.system is G.system for K in G.boxes)
+        # 16 other systems evict the first from the decoder's system cache
+        for size in range(5, 21):
+            axis = {"size": size, "partitions": []}
+            family_from_obj({"system": {"axes": [axis], "unital": True},
+                             "boxes": [["full"]]})
+        G = family_from_obj(obj)
+        assert all(K.system is G.system for K in G.boxes)
+
     @pytest.mark.parametrize(
         "system, count",
         [
