@@ -72,7 +72,7 @@ class Box:
         changed = False
         for axis, f in enumerate(self.factors):
             if f is not None:
-                f = BlockRef(*f)
+                f = f if type(f) is BlockRef else BlockRef(*f)
                 p = self.system.partition(axis, f.partition)
                 if not 0 <= f.block < p.n_blocks:
                     raise IndexError(f"block index {f.block} out of range")

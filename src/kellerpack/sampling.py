@@ -1,51 +1,38 @@
-"""Randomized generators for property sweeps.
-
-Everything is driven by a caller-supplied random.Random so sweeps are
-reproducible from a seed.  The family sampler draws and Keller-checks
-plain factor tuples and builds Box objects only for the boxes it keeps.
-"""
-
-from __future__ import annotations
+"""Randomized generators for property sweeps, reproducible from a seeded
+random.Random.  Draws call only rng.random and rng.randrange: CPython's
+randint(a, b) and choice(s) make the same _randbelow calls as
+a + randrange(b - a + 1) and s[randrange(len(s))], so the stream is theirs."""
 
 import random
 
-from .boxes import BlockRef, Box, BoxFamily, Factor, keller_factors
-from .partitions import (
-    Partition,
-    PartitionSystem,
-    independent,
-    make_partition,
-    trivial_partition,
-)
-
-# Per axis: the indices of its nontrivial partitions and every partition's
-# block count.
-_DrawTable = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+from .boxes import BlockRef, Box, BoxFamily
+from .partitions import Partition, PartitionSystem, independent, trivial_partition
 
 
 def random_partition(size: int, rng: random.Random) -> Partition:
     """Uniform-ish random nontrivial partition of 0..size-1."""
-    randint, randrange = rng.randint, rng.randrange
+    randrange = rng.randrange
     while True:
-        n_blocks = randint(2, size)
-        labels = [randrange(n_blocks) for _ in range(size)]
-        used = set(labels)
-        if len(used) < 2:
-            continue
-        blocks = [[e for e, l in enumerate(labels) if l == u] for u in used]
-        return make_partition(size, blocks)
+        n_blocks = 2 + randrange(size - 1)
+        masks = {}
+        for e in range(size):
+            label = randrange(n_blocks)
+            masks[label] = masks.get(label, 0) | 1 << e
+        # Labels are met in element order, so these disjoint covering masks
+        # come sorted by lowest element: make_partition's result.
+        if len(masks) > 1:
+            return Partition(size, tuple(masks.values()))
 
 
 def random_system(rng: random.Random) -> PartitionSystem:
-    """Random system of 1-3 axes of 2-6 elements, with up to 3 pairwise
-    independent partitions per axis built by rejection: candidate partitions
-    are kept only if independent of all earlier ones on the axis."""
-    d = rng.randint(1, 3)
-    sizes = [rng.randint(2, 6) for _ in range(d)]
+    """Random system of 1-3 axes of 2-6 elements, each with up to 3
+    pairwise independent partitions, by rejection in 50 tries."""
+    randrange = rng.randrange
+    sizes = [2 + randrange(5) for _ in range(1 + randrange(3))]
     families = []
     for size in sizes:
         family: list[Partition] = []
-        target = rng.randint(1, 3)
+        target = 1 + randrange(3)
         attempts = 0
         while len(family) < target and attempts < 50:
             attempts += 1
@@ -57,45 +44,53 @@ def random_system(rng: random.Random) -> PartitionSystem:
     return PartitionSystem(tuple(sizes), tuple(families))
 
 
-def _draw_table(system: PartitionSystem) -> _DrawTable:
-    return tuple(
-        (system.nontrivial_indices(axis), tuple(p.n_blocks for p in family))
-        for axis, family in enumerate(system.families)
-    )
+def _draw_table(system: PartitionSystem) -> tuple:
+    """Per axis, per nontrivial partition, per block: (factor, bit, clash)."""
+    axes, bit = [], 1
+    for axis, family in enumerate(system.families):
+        parts = []
+        for p in system.nontrivial_indices(axis):
+            n = family[p].n_blocks
+            whole = ((1 << n) - 1) * bit
+            parts.append(
+                tuple((BlockRef(p, b), bit << b, whole ^ bit << b) for b in range(n))
+            )
+            bit <<= n
+        axes.append(tuple(parts))
+    return tuple(axes)
 
 
-def _draw_factors(axes: _DrawTable, rng: random.Random) -> tuple[Factor, ...]:
-    """One random box as normalized factors: per axis the full axis, with
-    probability 0.15 or when the axis has no nontrivial partition, else a
-    uniform block of a uniform nontrivial partition."""
-    factors: list[Factor] = []
-    for nontrivial, n_blocks in axes:
-        if not nontrivial or rng.random() < 0.15:
-            factors.append(None)
-        else:
-            p = rng.choice(nontrivial)
-            factors.append(BlockRef(p, rng.randrange(n_blocks[p])))
-    return tuple(factors)
+def _draw_factors(table: tuple, rng: random.Random) -> tuple:
+    """A random box's factors, sel and clash: per axis the full axis (p=0.15,
+    or if none is nontrivial), else a uniform block of a uniform partition."""
+    random, randrange = rng.random, rng.randrange
+    factors, sel, clash = [], 0, 0
+    for parts in table:
+        f = None
+        if parts and random() >= 0.15:
+            blocks = parts[randrange(len(parts))]
+            f, bit, others = blocks[randrange(len(blocks))]
+            sel |= bit
+            clash |= others
+        factors.append(f)
+    return tuple(factors), sel, clash
 
 
 def random_box(system: PartitionSystem, rng: random.Random) -> Box:
-    return Box(system, _draw_factors(_draw_table(system), rng))
+    return Box(system, _draw_factors(_draw_table(system), rng)[0])
 
 
 def random_keller_family(system: PartitionSystem, rng: random.Random) -> BoxFamily:
     """Greedy sampler: over 60 draws, keep each box that forms a Keller
-    pair with everything kept so far, stopping at 6 boxes.  The first draw
-    is always kept, so the family is never empty.
-
-    A repeat of a kept box fails Keller's condition against it, so the
-    check also drops duplicates.
-    """
-    axes = _draw_table(system)
-    kept: list[tuple[Factor, ...]] = []
+    pair with all kept so far, up to 6.  A draw ORs its blocks' bits into
+    sel and their partitions' other blocks' bits into clash, and pairs with
+    a kept box iff its clash meets that box's sel; a repeat never does."""
+    table, boxes, sels = _draw_table(system), [], []
     for _ in range(60):
-        if len(kept) >= 6:
+        if len(sels) >= 6:
             break
-        factors = _draw_factors(axes, rng)
-        if all(keller_factors(factors, other) for other in kept):
-            kept.append(factors)
-    return BoxFamily(system, tuple(Box(system, factors) for factors in kept))
+        factors, sel, clash = _draw_factors(table, rng)
+        if all(clash & other for other in sels):
+            boxes.append(Box(system, factors))
+            sels.append(sel)
+    return BoxFamily(system, tuple(boxes))

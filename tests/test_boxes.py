@@ -111,6 +111,14 @@ class TestKellerPair:
         triv_index = 1
         assert Box(sys_, (BlockRef(triv_index, 0),)).factors == (None,)
 
+    def test_plain_tuple_factor_is_stored_as_blockref(self):
+        sys_ = arc_system(2, 1, 2)
+        K = Box(sys_, ((0, 1), None))
+        assert type(K.factors[0]) is BlockRef
+        assert K == Box(sys_, (BlockRef(0, 1), None))
+        assert hash(K) == hash(Box(sys_, (BlockRef(0, 1), None)))
+        assert Box(sys_, ([0, 1], None)) == K
+
 
 class TestIsKellerFamily:
     def test_singleton(self):
