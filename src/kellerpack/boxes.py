@@ -69,16 +69,20 @@ class Box:
         if len(self.factors) != self.system.dimension:
             raise SystemMismatchError("one factor per axis required")
         normalized = []
-        changed = False
+        # rebuild only a factors argument that is not a tuple or that has
+        # a factor re-wrapped as a BlockRef or normalized to Full
+        changed = type(self.factors) is not tuple
         for axis, f in enumerate(self.factors):
             if f is not None:
-                f = f if type(f) is BlockRef else BlockRef(*f)
+                if type(f) is not BlockRef:
+                    f = BlockRef(*f)
+                    changed = True
                 p = self.system.partition(axis, f.partition)
                 if not 0 <= f.block < p.n_blocks:
                     raise IndexError(f"block index {f.block} out of range")
                 if p.is_trivial:
                     f = None
-                changed = True
+                    changed = True
             normalized.append(f)
         if changed:
             object.__setattr__(self, "factors", tuple(normalized))

@@ -12,7 +12,8 @@ translations enabled the search is restricted to tilings containing the
 cube at the origin, which meets every translation orbit, and the first
 raw tiling found of an orbit marks every image of it the search can
 reach and keeps their least as the orbit's representative; later raw
-tilings of a marked orbit are skipped without acting on them.
+tilings of a marked orbit are skipped without acting on them.  _tiling
+builds every result tiling from its index tuple, with no check.
 
 The symmetry group acts on start indices, not on tiling objects.  Starts
 are numbered in row-major order, which is their lexicographic order, so
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .boxes import row_major_strides
@@ -59,6 +61,10 @@ from .torus import (
 
 ALL_SYMMETRIES = frozenset({"translate", "permute", "reflect"})
 DEFAULT_CELL_BUDGET = 1024
+
+_new_object = object.__new__
+_set_spec = TorusTiling.spec.__set__
+_set_starts = TorusTiling.starts.__set__
 
 
 def default_cell_budget() -> int:
@@ -181,12 +187,13 @@ def _tiling(spec: TorusSpec, cells, indices: Iterable[int]) -> TorusTiling:
     """The tiling of `spec` whose starts are cells[i] for the ascending
     row-major indices i in `indices`, cells being _tables(spec)[0].
     Ascending indices name sorted starts, each a cell of the grid, so the
-    sort and range check of TorusTiling.__post_init__ are skipped."""
-    t = object.__new__(TorusTiling)
-    object.__setattr__(t, "spec", spec)
-    # tuple() over a list allocates the exact size; over a map it
-    # over-allocates and shrinks, keeping the larger pymalloc block
-    object.__setattr__(t, "starts", tuple([cells[i] for i in indices]))
+    sort and range check of TorusTiling.__post_init__ are skipped: the two
+    slots are filled through their descriptors.  itemgetter returns a bare
+    item for one index, but every spec has n_cubes = prod(m) >= 2, so
+    `indices` always holds at least two and the starts are a tuple."""
+    t = _new_object(TorusTiling)
+    _set_spec(t, spec)
+    _set_starts(t, itemgetter(*indices)(cells))
     return t
 
 

@@ -119,6 +119,18 @@ class TestKellerPair:
         assert hash(K) == hash(Box(sys_, (BlockRef(0, 1), None)))
         assert Box(sys_, ([0, 1], None)) == K
 
+    def test_factors_are_always_a_tuple(self):
+        sys_ = arc_system(2, 1, 2)
+        b = Box(sys_, [None, None])
+        assert type(b.factors) is tuple
+        assert b == Box(sys_, (None, None))
+        assert hash(b) == hash(Box(sys_, (None, None)))
+
+    def test_tuple_of_nontrivial_blockrefs_is_kept(self):
+        sys_ = arc_system(2, 1, 2)
+        factors = (BlockRef(0, 1), BlockRef(0, 0))
+        assert Box(sys_, factors).factors is factors
+
 
 class TestIsKellerFamily:
     def test_singleton(self):

@@ -24,6 +24,7 @@ from kellerpack.census import (
     _origin_images,
     _search,
     _tables,
+    _tiling,
     _translated,
     check_budget,
     permute_axes,
@@ -547,6 +548,22 @@ class TestSearchTables:
         assert found == list(every_cell_search(spec))
 
     @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
+    def test_origin_rooted_search_finds_the_origin_tilings(self, m, q, raw):
+        # translating each raw tiling by -s for each of its n_cubes starts
+        # s gives each origin-fixed tiling once per cell of the grid
+        spec = TorusSpec(m, q)
+        cells, masks, _, _ = _tables(spec)
+        fixed = sorted(tuple(sorted(p)) for p in _search(spec, masks[0], (0,)))
+        index = {s: i for i, s in enumerate(cells)}
+        tilings = enumerate_all_tilings(spec)
+        assert fixed == [
+            tuple(index[s] for s in t.starts)
+            for t in tilings
+            if t.starts[0] == cells[0]
+        ]
+        assert len(fixed) * spec.n_cells == raw * spec.n_cubes
+
+    @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
     def test_no_symmetry_enumerates_every_tiling(self, m, q, raw):
         # with the identity alone every raw tiling is its own orbit
         spec = TorusSpec(m, q)
@@ -607,5 +624,17 @@ class TestUncheckedBuilder:
             for t in tilings:
                 checked = TorusTiling(t.spec, t.starts)
                 assert type(t.starts) is tuple
+                assert len(t.starts) == spec.n_cubes
                 assert all(type(s) is tuple for s in t.starts)
                 assert t == checked and hash(t) == hash(checked)
+
+    @pytest.mark.parametrize("m,q", [((2,), (1,)), ((2,), (3,))])
+    def test_two_cubes_give_a_tuple_of_two_starts(self, m, q):
+        # the fewest cubes any spec has: _tiling never takes one index
+        spec = TorusSpec(m, q)
+        cells = _tables(spec)[0]
+        for indices in map(sorted, _search(spec, 0, ())):
+            t = _tiling(spec, cells, indices)
+            assert type(t.starts) is tuple and len(t.starts) == 2
+            assert all(type(s) is tuple and len(s) == 1 for s in t.starts)
+            assert t == TorusTiling(spec, [cells[i] for i in indices])
