@@ -6,8 +6,16 @@ is one big int; placements are precomputed masks under their lowest cell, so
 the inner loop is a bit test.  The search runs over start indices, the
 row-major numbers of the starts, and forces the last cube: with one cube
 left the uncovered cells must be its cells, so it is one dict lookup by
-mask rather than a branch.  Symmetry reduction (translations, axis
-permutations among equal axes, per-axis reflections) marks orbits: with
+mask rather than a branch.  The lower half of the search is memoized on
+the cover mask, in a dict that lives for one call.  The mask is a sound
+key: the completions of a cover, and the order the walk finds them in,
+depend only on which cells it covers.  The memo is read at half the
+cubes placed, which balances the upper walk, shared by nothing, against
+the stored suffixes, which grow as the split moves up.  The search
+yields the same tuples in the same order as without it.
+
+Symmetry reduction (translations, axis permutations among equal axes,
+per-axis reflections) marks orbits: with
 translations enabled the search is restricted to tilings containing the
 cube at the origin, which meets every translation orbit, and the first
 raw tiling found of an orbit marks every image of it the search can
@@ -282,18 +290,46 @@ def _search(
 ) -> Iterator[tuple[int, ...]]:
     """Every completion of the cover `covered` by the cubes at the start
     indices `placed`, as index tuples in placement order; the last cube is
-    looked up by the mask of the uncovered cells."""
+    looked up by the mask of the uncovered cells.
+
+    Nodes at half the cubes placed read a memo, local to the call, that
+    maps a cover mask to the suffixes the walk finds below it.  The mask
+    is a sound key: each step branches on the lowest uncovered cell and
+    tests candidates against the mask alone.  A depth-first walk yields a
+    subtree's leaves together and in that subtree's order, so the
+    sequence is the plain walk's.  Half balances the unshared walk above
+    the split against the suffixes stored below it."""
     _, _, cands, last = _tables(spec)
+    n = spec.n_cubes
     full = (1 << spec.n_cells) - 1
-    final = spec.n_cubes - 1
+    return _walk(cands, last, full, {}, covered, placed, n - 1, n - n // 2)
+
+
+def _walk(cands, last, full, memo, covered, placed, final, split):
+    """_search's walk from (covered, placed): the last cube at depth
+    `final`, the memo read at depth `split`.  A module function, not a
+    closure, so that no reference cycle keeps the memo alive once the
+    walk is done."""
     stack = [(covered, placed)]
     pop, push = stack.pop, stack.append
     while stack:
         covered, placed = pop()
-        if len(placed) == final:
+        depth = len(placed)
+        # first: with 2 or 3 cubes the split is the final depth
+        if depth == final:
             i = last.get(full ^ covered)
             if i is not None:
                 yield placed + (i,)
+            continue
+        if depth == split:
+            suffixes = memo.get(covered)
+            if suffixes is None:
+                # -1: the walk below the split reads no memo
+                suffixes = memo[covered] = tuple(_walk(
+                    cands, last, full, memo, covered, (), final - split, -1
+                ))
+            for t in suffixes:
+                yield placed + t
             continue
         # the lowest zero bit of covered
         for i, bits in cands[(covered ^ (covered + 1)).bit_length() - 1]:

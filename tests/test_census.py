@@ -1,3 +1,4 @@
+import gc
 import importlib
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -508,6 +509,26 @@ def every_cell_search(spec):
                 stack.append((covered | bits, placed + (i,)))
 
 
+def plain_search(spec, covered, placed):
+    """census._search without its memo: the stack-based walk from
+    (covered, placed) to every leaf, the last cube looked up by the mask
+    of the uncovered cells."""
+    _, _, cands, last = _tables(spec)
+    full = (1 << spec.n_cells) - 1
+    final = spec.n_cubes - 1
+    stack = [(covered, placed)]
+    while stack:
+        covered, placed = stack.pop()
+        if len(placed) == final:
+            i = last.get(full ^ covered)
+            if i is not None:
+                yield placed + (i,)
+            continue
+        for i, bits in cands[(covered ^ (covered + 1)).bit_length() - 1]:
+            if not bits & covered:
+                stack.append((covered | bits, placed + (i,)))
+
+
 # grids for the search order: (m, q, raw tiling count)
 ORDER_GRIDS = [
     ((2, 3), (6, 6), 1_476),
@@ -518,6 +539,8 @@ ORDER_GRIDS = [
     ((2,), (3,), 3),
     ((3,), (2,), 2),
     ((2, 2), (1, 3), 9),
+    # 12 cubes on a mixed grid: all 108 prefixes reach one mask at the split
+    ((2, 2, 3), (1, 2, 6), 11_664),
 ]
 
 
@@ -546,6 +569,38 @@ class TestSearchTables:
         found = list(_search(spec, 0, ()))
         assert len(found) == raw
         assert found == list(every_cell_search(spec))
+
+    @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
+    def test_search_matches_the_plain_walk_from_every_root(self, m, q, raw):
+        # roots: the empty cover, the origin cube, and the prefixes at
+        # every depth up to the last cube of about ten tilings in the
+        # order the walk finds them; each prefix is a node of the walk,
+        # and depths above and below the split are both covered
+        spec = TorusSpec(m, q)
+        masks = _tables(spec)[1]
+        found = list(plain_search(spec, 0, ()))
+        assert len(found) == raw
+        roots = [(0, ()), (masks[0], (0,))]
+        for placed in found[:: len(found) // 10 + 1]:
+            covered = 0
+            for depth, i in enumerate(placed[:-1], 1):
+                covered |= masks[i]
+                roots.append((covered, placed[:depth]))
+        depths = {len(placed) for _, placed in roots}
+        assert depths == set(range(spec.n_cubes))
+        for root in roots:
+            assert list(_search(spec, *root)) == list(plain_search(spec, *root))
+
+    def test_search_frees_its_memo_without_the_collector(self):
+        # a reference cycle would keep the memo until a full collection
+        spec = TorusSpec((2, 2, 2), (2, 4, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            assert sum(1 for _ in _search(spec, 0, ())) == 35_872
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("m,q,raw", ORDER_GRIDS)
     def test_origin_rooted_search_finds_the_origin_tilings(self, m, q, raw):
