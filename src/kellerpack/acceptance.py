@@ -1,6 +1,7 @@
 """End-to-end verification suite.
 
-Each criterion takes no argument and returns a CriterionResult; run_all
+Each criterion takes no argument and returns a CriterionResult, built
+by _criterion from the check's (passed, detail) and its time; run_all
 calls them in order and is what both `kellerpack verify` and the
 acceptance tests drive.  The suite is deterministic: criterion 4 checks
 Theorem B on every Keller family of three small arc systems, next to the
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, combinations, islice
 from math import prod
 
@@ -58,6 +60,22 @@ class CriterionResult:
     seconds: float
 
 
+def _criterion(name: str):
+    """Turn a check returning (passed, detail) into a criterion that
+    returns the CriterionResult named `name`, timed over the whole check."""
+
+    def decorate(check):
+        @wraps(check)
+        def criterion() -> CriterionResult:
+            t0 = time.time()
+            passed, detail = check()
+            return CriterionResult(name, passed, detail, time.time() - t0)
+
+        return criterion
+
+    return decorate
+
+
 @lru_cache(maxsize=None)
 def _tilings(m: tuple[int, ...], q: tuple[int, ...]):
     # the largest grid of the suite, (3,3)/(9,9), has 729 cells
@@ -70,9 +88,9 @@ def _census(m: tuple[int, ...], q: tuple[int, ...]):
     return census_from_tilings(TorusSpec(m, q), ALL_SYMMETRIES, _tilings(m, q))
 
 
-def _tight_bound(name, m, q, bound, time_limit, digits) -> CriterionResult:
+def _tight_bound(m, q, bound, time_limit, digits) -> tuple[bool, str]:
     """The census of one uniform grid attains `bound` exactly on its
-    multipiles, within `time_limit` seconds."""
+    multipiles, within `time_limit` seconds of the census alone."""
     t0 = time.time()
     row = _census(m, q)
     elapsed = time.time() - t0
@@ -83,37 +101,33 @@ def _tight_bound(name, m, q, bound, time_limit, digits) -> CriterionResult:
         and all(row.attaining_multipile)
         and elapsed < time_limit
     )
-    return CriterionResult(
-        name,
-        ok,
+    return ok, (
         f"max_p={row.max_p} bound={bound} equality={row.equality_count} "
-        f"multipiles={row.multipile_count} in {elapsed:.{digits}f}s",
-        elapsed,
+        f"multipiles={row.multipile_count} in {elapsed:.{digits}f}s"
     )
 
 
-def criterion_1_tight_bound_2x2() -> CriterionResult:
-    return _tight_bound("tight bound, n=2 d=2", (2, 2), (2, 2), 3, 1.0, 2)
+@_criterion("tight bound, n=2 d=2")
+def criterion_1_tight_bound_2x2():
+    return _tight_bound((2, 2), (2, 2), 3, 1.0, 2)
 
 
-def criterion_2_tight_bound_2x2x2() -> CriterionResult:
-    return _tight_bound("tight bound, n=2 d=3", (2, 2, 2), (4, 4, 4), 7, 600.0, 1)
+@_criterion("tight bound, n=2 d=3")
+def criterion_2_tight_bound_2x2x2():
+    return _tight_bound((2, 2, 2), (4, 4, 4), 7, 600.0, 1)
 
 
-def criterion_3_tight_bound_3x3() -> CriterionResult:
-    t0 = time.time()
+@_criterion("tight bound, n=3 d=2")
+def criterion_3_tight_bound_3x3():
     row_pilot = _census((3, 3), (3, 3))
     row_full = _census((3, 3), (9, 9))
     spec = TorusSpec((3, 3), (3, 3))
     witness = laminated_construction(spec, extremal_recipe(spec, (0, 1)))
     wp = p_params(witness).total
     ok = row_pilot.max_p == 4 and row_full.max_p == 4 and wp == 4
-    return CriterionResult(
-        "tight bound, n=3 d=2",
-        ok,
+    return ok, (
         f"pilot max_p={row_pilot.max_p} bound=4; q=(9,9) max_p={row_full.max_p}; "
-        f"lamination witness p_total={wp}",
-        time.time() - t0,
+        f"lamination witness p_total={wp}"
     )
 
 
@@ -139,24 +153,19 @@ def _theorem_b_families():
     return chain(_census_families(), exhaustive, sampled)
 
 
-def criterion_4_complexity_bound() -> CriterionResult:
+@_criterion("complexity bound c(G) <= |G|-1, equality iff multipile")
+def criterion_4_complexity_bound():
     """Theorem B on every family of _theorem_b_families; a violation
     raises TheoremViolationError naming the family's position, counted
     from 1, in that stream, so the criterion passes whenever it returns."""
-    t0 = time.time()
     checked = 0
     for checked, G in enumerate(_theorem_b_families(), 1):
         require_theorem_b(G, f"family {checked} of criterion 4's stream")
-    return CriterionResult(
-        "complexity bound c(G) <= |G|-1, equality iff multipile",
-        True,
-        f"{checked} families, 0 violations, 0 equality/multipile mismatches",
-        time.time() - t0,
-    )
+    return True, f"{checked} families, 0 violations, 0 equality/multipile mismatches"
 
 
-def criterion_5_box_count() -> CriterionResult:
-    t0 = time.time()
+@_criterion("box-count identity |G| = n1...nd via hat measures")
+def criterion_5_box_count():
     failures = 0
     checked = 0
     for m, q in [((2, 2), (2, 2)), ((2, 2, 2), (4, 4, 4)), ((3, 3), (3, 3)),
@@ -179,16 +188,11 @@ def criterion_5_box_count() -> CriterionResult:
     checked += 1
     if rep.implied_size != 4 or rep.measure_sum != 1 or not rep.holds:
         failures += 1
-    return CriterionResult(
-        "box-count identity |G| = n1...nd via hat measures",
-        failures == 0,
-        f"{checked} partitions checked, {failures} failures",
-        time.time() - t0,
-    )
+    return failures == 0, f"{checked} partitions checked, {failures} failures"
 
 
-def criterion_6_hat_disjointness() -> CriterionResult:
-    t0 = time.time()
+@_criterion("hat disjointness mirrors Keller pairs")
+def criterion_6_hat_disjointness():
     mismatches = 0
     pairs = 0
     for system in (arc_system(2, 2, 2), arc_system(3, 2, 2)):
@@ -196,12 +200,7 @@ def criterion_6_hat_disjointness() -> CriterionResult:
             pairs += 1
             if hats_disjoint(K, L) != keller_pair(K, L):
                 mismatches += 1
-    return CriterionResult(
-        "hat disjointness mirrors Keller pairs",
-        mismatches == 0,
-        f"{pairs} box pairs, {mismatches} mismatches",
-        time.time() - t0,
-    )
+    return mismatches == 0, f"{pairs} box pairs, {mismatches} mismatches"
 
 
 def _rewrites(families):
@@ -221,8 +220,8 @@ def _rewrites(families):
         families = next_families
 
 
-def criterion_7_rewrite_preservation() -> CriterionResult:
-    t0 = time.time()
+@_criterion("rewrite chains preserve exposed and hidden status")
+def criterion_7_rewrite_preservation():
     pairs = 0
     exposed_violations = 0
     hidden_violations = 0
@@ -232,12 +231,9 @@ def criterion_7_rewrite_preservation() -> CriterionResult:
         exposed_violations += e
         hidden_violations += h
     ok = pairs == 1000 and exposed_violations == 0 and hidden_violations == 0
-    return CriterionResult(
-        "rewrite chains preserve exposed and hidden status",
-        ok,
+    return ok, (
         f"{pairs} suit pairs, {exposed_violations} exposed violations, "
-        f"{hidden_violations} hidden violations",
-        time.time() - t0,
+        f"{hidden_violations} hidden violations"
     )
 
 
@@ -259,8 +255,8 @@ def _check_preservation(G, G2) -> tuple[int, int]:
     return exposed_bad, hidden_bad
 
 
-def criterion_8_mixed_sides() -> CriterionResult:
-    t0 = time.time()
+@_criterion("mixed-sides evidence run (conjectural)")
+def criterion_8_mixed_sides():
     row = _census((2, 3), (6, 6))
     reference = extremal_p_value((2, 3), (1, 0))
     ok = (
@@ -269,19 +265,14 @@ def criterion_8_mixed_sides() -> CriterionResult:
         and row.max_p <= reference
         and len(row.attaining_multipile) == row.equality_count
     )
-    return CriterionResult(
-        "mixed-sides evidence run (conjectural)",
-        ok,
+    return ok, (
         f"observed max_p={row.max_p}, lamination value={reference}, "
-        f"attaining tilings all multipile: {all(row.attaining_multipile)}",
-        time.time() - t0,
+        f"attaining tilings all multipile: {all(row.attaining_multipile)}"
     )
 
 
-def criterion_9_slow_path_equivalence() -> CriterionResult:
-    t0 = time.time()
-    from collections import Counter
-
+@_criterion("symmetry-reduced stream expands to the brute-force multiset")
+def criterion_9_slow_path_equivalence():
     failures = 0
     specs = [
         TorusSpec((2,), (1,)),
@@ -300,12 +291,7 @@ def criterion_9_slow_path_equivalence() -> CriterionResult:
                 expanded[x.starts] += 1
         if brute != expanded:
             failures += 1
-    return CriterionResult(
-        "symmetry-reduced stream expands to the brute-force multiset",
-        failures == 0,
-        f"{len(specs)} grids compared, {failures} mismatches",
-        time.time() - t0,
-    )
+    return failures == 0, f"{len(specs)} grids compared, {failures} mismatches"
 
 
 CRITERIA = [

@@ -170,19 +170,10 @@ def is_cylinder(P: PointSet, axis: int) -> bool:
     This is the slow oracle; classify_partition uses a shadow comparison as
     the fast path and the two are cross-checked in the test suite.
     """
-    strides = P.strides
-    other = [range(s) for i, s in enumerate(P.sizes) if i != axis]
-    axis_stride = strides[axis]
-    other_strides = [s for i, s in enumerate(strides) if i != axis]
-    for coords in product(*other):
-        base = sum(x * s for x, s in zip(coords, other_strides))
-        lm = 0
-        for v in range(P.sizes[axis]):
-            lm |= 1 << (base + v * axis_stride)
-        hit = P.bits & lm
-        if hit and hit != lm:
-            return False
-    return True
+    # one point per axis line: its coordinate on `axis` is 0
+    ranges = [range(1 if i == axis else s) for i, s in enumerate(P.sizes)]
+    lines = (line_mask(P.sizes, point, axis) for point in product(*ranges))
+    return all((P.bits & lm) in (0, lm) for lm in lines)
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,12 @@ def _search(
     is a sound key: each step branches on the lowest uncovered cell and
     tests candidates against the mask alone.  A depth-first walk yields a
     subtree's leaves together and in that subtree's order, so the
-    sequence is the plain walk's.  Half balances the unshared walk above
-    the split against the suffixes stored below it."""
+    sequence is the plain walk's.  The memo pays where masks at the split
+    repeat, as on the 3-D and mixed grids, and half was the fastest split
+    there.  On 2-D grids they rarely repeat: (3,3)/(9,9) visits its split
+    9,801 times at 9,153 distinct masks, and the memo took its search
+    from 0.055 to 0.062 s and its traced peak from 1.88 to 3.31 MB
+    (2 cores, Python 3.11.7)."""
     _, _, cands, last = _tables(spec)
     n = spec.n_cubes
     full = (1 << spec.n_cells) - 1

@@ -4,10 +4,11 @@ A multipile is either a singleton box family, or a pile laminated with
 respect to some nontrivial partition whose per-block restrictions are
 multipiles hiding pairwise disjoint partition sets on every other axis.
 Multipiles are exactly the families attaining c(G) = |G| - 1.  Each pile
-test here, in is_multipile's refusal, the recognizer and the constructor,
-is BoxFamily._pile, the one test of "laminated and hidden", and every
-set of hidden partitions is BoxFamily._status(mask), the table of the
-boxes at a bit mask, which a family builds once per mask.
+test here, in the recognizer and the constructor, is BoxFamily._pile,
+the one test of "laminated and hidden", and every set of hidden
+partitions is BoxFamily._status(mask), the table of the boxes at a bit
+mask, which a family builds once per mask.  The recognizer has no
+separate refusal: its root step, the pile tests on the full mask, is it.
 """
 
 from __future__ import annotations
@@ -55,17 +56,12 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     Candidates are tried axis-ascending.  A lamination partition holds
     every box's factor on its axis, so on each axis only the first box's
     partition can laminate, and the returned witness is deterministic.
-    A family that is a pile for none of them is refused before any
+    The recursion's root step is the refusal: a family that is a pile for
+    none of them is refused by G._pile on the full mask, before any
     subfamily's table is built.
     """
     require_keller(G)
-    if len(G) > 1 and all(
-        G._pile((1 << len(G)) - 1, axis, f.partition) is None
-        for axis, f in enumerate(G.boxes[0].factors)
-        if f is not None
-    ):
-        return MultipileResult(False)
-    return _recognize(G)
+    return _multipile(G, {}, (1 << len(G)) - 1)
 
 
 def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
@@ -86,44 +82,38 @@ def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
     return stats, multipile
 
 
-def _recognize(G: BoxFamily) -> MultipileResult:
+def _multipile(G: BoxFamily, memo: dict, mask: int) -> MultipileResult:
     """The recursion over subfamilies of G, as bit masks over its boxes,
-    memoized per mask.  A subfamily of a Keller family is Keller, so none
-    is checked again.  Each node is decided by G._pile, the one pile test,
-    and its children's hidden sets are compared; both read G._status, the
-    partition-status table of a mask, which G builds once per mask."""
-    memo: dict[int, MultipileResult] = {}
+    memoized per mask in `memo`, a dict from mask to MultipileResult.  A
+    subfamily of a Keller family is Keller, so none is checked again."""
+    if mask not in memo:
+        first = G.boxes[(mask & -mask).bit_length() - 1]
+        # a singleton is a leaf; else the first node found, axis-ascending
+        found = Leaf(first) if mask & (mask - 1) == 0 else None
+        for axis, f in enumerate(first.factors):
+            if found is None and f is not None:
+                found = _node(G, memo, mask, axis, f.partition)
+        memo[mask] = MultipileResult(found is not None, found)
+    return memo[mask]
 
-    def node(mask: int, axis: int, p: int) -> Optional[Node]:
-        subs = G._pile(mask, axis, p)
-        if subs is None:
+
+def _node(G: BoxFamily, memo: dict, mask: int, axis: int, p: int) -> Optional[Node]:
+    """The node laminating `mask` by partition p on `axis`, or None.  It is
+    decided by G._pile, the one pile test, and its children's hidden sets
+    are compared; both read G._status, the partition-status table of a
+    mask, which G builds once per mask."""
+    subs = G._pile(mask, axis, p)
+    if subs is None:
+        return None
+    children = []
+    for sub in subs:
+        child = _multipile(G, memo, sub)
+        if not child.verdict:
             return None
-        children = []
-        for sub in subs:
-            child = result(sub)
-            if not child.verdict:
-                return None
-            children.append(child.tree)
-        if _hidden_clash([G._status(sub) for sub in subs], axis) is not None:
-            return None
-        return Node(axis, p, tuple(children))
-
-    def result(mask: int) -> MultipileResult:
-        if mask not in memo:
-            first = G.boxes[(mask & -mask).bit_length() - 1]
-            if mask & (mask - 1) == 0:
-                memo[mask] = MultipileResult(True, Leaf(first))
-            else:
-                nodes = (
-                    node(mask, axis, f.partition)
-                    for axis, f in enumerate(first.factors)
-                    if f is not None
-                )
-                found = next(filter(None, nodes), None)
-                memo[mask] = MultipileResult(found is not None, found)
-        return memo[mask]
-
-    return result((1 << len(G)) - 1)
+        children.append(child.tree)
+    if _hidden_clash([G._status(sub) for sub in subs], axis) is not None:
+        return None
+    return Node(axis, p, tuple(children))
 
 
 def _hidden_clash(

@@ -102,28 +102,13 @@ def join(p1: Partition, p2: Partition) -> Partition:
     graph between the two partitions."""
     if p1.axis_size != p2.axis_size:
         raise AxisMismatchError("partitions on different ground sets")
-    # Union-find over the blocks of both partitions, merged via shared elements.
-    parent = list(range(p1.n_blocks + p2.n_blocks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(p1.blocks):
-        for j, b in enumerate(p2.blocks):
-            if a & b:
-                ri, rj = find(i), find(p1.n_blocks + j)
-                if ri != rj:
-                    parent[rj] = ri
-    unions: dict[int, int] = {}
-    for i, a in enumerate(p1.blocks):
-        unions[find(i)] = unions.get(find(i), 0) | a
-    for j, b in enumerate(p2.blocks):
-        r = find(p1.n_blocks + j)
-        unions[r] = unions.get(r, 0) | b
-    return make_partition(p1.axis_size, [elems_of(m) for m in unions.values()])
+    # each block absorbs every component it meets; the components stay
+    # pairwise disjoint, so the sum of those it meets is their union
+    comps: list[int] = []
+    for block in p1.blocks + p2.blocks:
+        met = [c for c in comps if c & block]
+        comps = [c for c in comps if not c & block] + [block | sum(met)]
+    return make_partition(p1.axis_size, [elems_of(m) for m in comps])
 
 
 def independent(p1: Partition, p2: Partition) -> bool:

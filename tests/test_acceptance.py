@@ -19,7 +19,7 @@ from kellerpack import (
     acceptance,
     to_box_family,
 )
-from kellerpack.acceptance import CRITERIA, run_all
+from kellerpack.acceptance import CRITERIA, CriterionResult, run_all
 from kellerpack.boxes import c_stats, keller_families, pile_rewrite
 from kellerpack.errors import TheoremViolationError
 from kellerpack.partitions import arc_system
@@ -50,6 +50,17 @@ def test_criterion(results, index):
     res = results[index]
     assert res.passed, f"criterion {index + 1} ({res.name}): {res.detail}"
     assert re.fullmatch(DETAILS[index], res.detail), res.detail
+
+
+def test_criteria_keep_the_names_and_results_the_benchmark_reads(results):
+    # perfbench/passes.py picks criteria by their name prefix and reads
+    # the seconds of the CriterionResult each returns
+    assert len(results) == len(CRITERIA) == 9
+    for i, (crit, res) in enumerate(zip(CRITERIA, results), 1):
+        assert crit.__name__.startswith(f"criterion_{i}_")
+        assert isinstance(res, CriterionResult)
+        assert type(res.seconds) is float and res.seconds >= 0
+    assert CRITERIA[3].__doc__.startswith("Theorem B on every family")
 
 
 def old_theorem_b_families(seed, n_random=10_000):

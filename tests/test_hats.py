@@ -221,3 +221,37 @@ class TestSuitSwap:
         D = BoxFamily(sys222, G.boxes[2:])
         with pytest.raises(PreconditionError):
             suit_swap_check([C], [D])
+
+    def test_families_share_one_system(self, sys222):
+        C = BoxFamily(sys222, laminated_family().boxes[:2])
+        other = arc_system(2, 1, 2)
+        E = BoxFamily(other, (Box(other, (None, None)),))
+        with pytest.raises(
+            PreconditionError, match="^all families must share one system$"
+        ):
+            suit_swap_check([C], [E])
+
+    def test_first_union_must_be_keller(self, sys222):
+        # two singleton suits whose boxes are not a Keller pair
+        K = Box(sys222, (BlockRef(0, 0), BlockRef(0, 0)))
+        L = Box(sys222, (BlockRef(1, 0), BlockRef(1, 0)))
+        C, D = BoxFamily(sys222, (K,)), BoxFamily(sys222, (L,))
+        with pytest.raises(
+            PreconditionError, match="^the union of the first sequence is not Keller$"
+        ):
+            suit_swap_check([C, D], [C, D])
+
+    def test_union_families_must_be_disjoint(self, sys222):
+        C = BoxFamily(sys222, laminated_family().boxes[:2])
+        with pytest.raises(
+            PreconditionError, match="^families in a union must be pairwise disjoint$"
+        ):
+            suit_swap_check([C, C], [C, C])
+
+
+def test_suits_equivalent_needs_one_system(sys222):
+    other = arc_system(2, 1, 2)
+    C = BoxFamily(sys222, (Box(sys222, (None, None)),))
+    D = BoxFamily(other, (Box(other, (None, None)),))
+    with pytest.raises(SystemMismatchError, match="^families from different systems$"):
+        suits_equivalent(C, D)

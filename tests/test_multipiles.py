@@ -1,7 +1,8 @@
+import gc
 import hashlib
 import json
 import random
-from itertools import chain, product
+from itertools import chain, islice, product
 
 import pytest
 
@@ -80,6 +81,22 @@ class TestIsMultipile:
         L = Box(sys222, (BlockRef(1, 0), BlockRef(1, 0)))
         with pytest.raises(NotKellerError):
             is_multipile(BoxFamily(sys222, (K, L)))
+
+    def test_frees_its_memo_without_the_collector(self):
+        # a reference cycle per call would keep each memo until a full
+        # collection; the families are built before the collector stops
+        families = [
+            laminated_family(),
+            *islice(keller_families(arc_system(3, 2, 2)), 500),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            verdicts = [is_multipile(G).verdict for G in families]
+            assert verdicts[0] and not all(verdicts)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # sha256 of the JSON list of [verdict, tree_to_obj(tree) or None] over the
@@ -366,6 +383,10 @@ class TestExtremalPValue:
     def test_bad_ordering(self):
         with pytest.raises(ValueError):
             extremal_p_value((2, 2), (0, 0))
+
+    def test_side_below_two(self):
+        with pytest.raises(ValueError, match="^all sides must be at least 2$"):
+            extremal_p_value((2, 1), (0, 1))
 
 
 def test_tree_json_round_trip(sys222):

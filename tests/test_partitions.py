@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from kellerpack import (
+    PartitionSystem,
     arc_system,
     arc_system_mixed,
     binary_system,
@@ -30,6 +31,23 @@ def sets(p):
     return [set(s) for s in p.block_sets()]
 
 
+def all_partitions(n):
+    """Every partition of an n-element set, from its restricted growth
+    strings: each label at most 1 + the largest before it."""
+    labelings = [()]
+    for _ in range(n):
+        labelings = [
+            lab + (label,)
+            for lab in labelings
+            for label in range(max(lab, default=-1) + 2)
+        ]
+    return [
+        make_partition(n, [[e for e in range(n) if lab[e] == b]
+                           for b in range(max(lab) + 1)])
+        for lab in labelings
+    ]
+
+
 class TestMakePartition:
     def test_two_block_split(self):
         p = make_partition(4, [{0, 1}, {2, 3}])
@@ -51,6 +69,18 @@ class TestMakePartition:
     def test_empty_block_rejected(self):
         with pytest.raises(EmptyBlockError):
             make_partition(4, [{0, 1, 2, 3}, set()])
+
+    def test_ground_set_below_two_rejected(self):
+        with pytest.raises(
+            ValueError, match="^ground sets must have at least two elements$"
+        ):
+            make_partition(1, [{0}])
+
+    def test_block_containing(self):
+        p = make_partition(4, [{0, 3}, {1, 2}])
+        assert [p.block_containing(e) for e in range(4)] == [0, 1, 1, 0]
+        with pytest.raises(ValueError, match="^element 4 outside ground set$"):
+            p.block_containing(4)
 
     def test_canonical_block_order(self):
         p = make_partition(4, [{2, 3}, {0, 1}])
@@ -94,6 +124,22 @@ class TestJoin:
             assert join(a, a) == a
             assert join(a, trivial_partition(size)).is_trivial
 
+    def test_finest_common_coarsening_of_every_pair_of_five_element_partitions(self):
+        # brute force: among the partitions coarser than both, the join is
+        # the one with the most blocks
+        def coarser(c, p):
+            return all(any(b & ~cb == 0 for cb in c.blocks) for b in p.blocks)
+
+        parts = all_partitions(5)
+        above = {p: {c for c in parts if coarser(c, p)} for p in parts}
+        for a in parts:
+            for b in parts:
+                common = above[a] & above[b]
+                most = max(c.n_blocks for c in common)
+                finest = [c for c in common if c.n_blocks == most]
+                assert len(finest) == 1
+                assert join(a, b) == finest[0]
+
 
 class TestIndependent:
     def test_crossing_splits(self):
@@ -113,20 +159,7 @@ class TestIndependent:
         assert independent(p1, p2)
 
     def test_matches_join_on_every_pair_of_five_element_partitions(self):
-        def labelings(n):
-            # restricted growth strings: each label at most 1 + the max so far
-            if n == 0:
-                yield ()
-                return
-            for rest in labelings(n - 1):
-                for label in range(max(rest, default=-1) + 2):
-                    yield rest + (label,)
-
-        parts = [
-            make_partition(5, [[e for e in range(5) if lab[e] == b]
-                               for b in range(max(lab) + 1)])
-            for lab in labelings(5)
-        ]
+        parts = all_partitions(5)
         assert len(set(parts)) == 52  # the Bell number B_5
         for a in parts:
             for b in parts:
@@ -150,6 +183,14 @@ class TestCForte:
             check_c_forte(p1, p2, {0, 1}, {0})
         with pytest.raises(NotProperSubfamilyError):
             check_c_forte(p1, p2, set(), {0})
+
+    def test_axis_mismatch(self):
+        p1 = make_partition(4, [{0, 1}, {2, 3}])
+        p2 = make_partition(6, [{0, 1, 2}, {3, 4, 5}])
+        with pytest.raises(
+            AxisMismatchError, match="^partitions on different ground sets$"
+        ):
+            check_c_forte(p1, p2, {0}, {0})
 
     @pytest.mark.parametrize("size", [4, 6, 8])
     def test_exhaustive_over_independent_pairs(self, size):
@@ -210,6 +251,19 @@ class TestArcSystem:
         assert sys_.axis_sizes == (12, 18)
         assert len(sys_.families[0]) == 7  # 6 arc partitions plus trivial
 
+    def test_per_axis_lengths_differ(self):
+        with pytest.raises(
+            AxisMismatchError, match="^per-axis arc counts and resolutions differ$"
+        ):
+            arc_system_mixed([2, 3], [6])
+
+    @pytest.mark.parametrize("n,q", [(1, 2), (2, 0)])
+    def test_too_few_arcs_or_no_resolution(self, n, q):
+        with pytest.raises(
+            ValueError, match="^need n >= 2 arcs and resolution q >= 1$"
+        ):
+            arc_system_mixed([2, n], [2, q])
+
     def test_equal_systems_hash_equal(self):
         sys_ = arc_system(3, 2, 2)
         copies = [
@@ -247,6 +301,12 @@ class TestBinarySystem:
         with pytest.raises(DuplicateError):
             binary_system([4], [[{0, 1}, {2, 3}]])
 
+    def test_one_split_list_per_axis(self):
+        with pytest.raises(
+            AxisMismatchError, match="^one split list required per axis$"
+        ):
+            binary_system([2, 2], [[{0}]])
+
     def test_distinct_two_block_splits_always_independent(self):
         # any two distinct {A, complement} partitions are independent: the
         # overlap graph can only disconnect when the splits coincide
@@ -262,6 +322,26 @@ class TestBinarySystem:
             pa = make_partition(size, [a, set(range(size)) - a])
             pb = make_partition(size, [b, set(range(size)) - b])
             assert independent(pa, pb)
+
+
+class TestPartitionSystemChecks:
+    def test_one_family_per_axis(self):
+        with pytest.raises(
+            AxisMismatchError, match="^one partition family required per axis$"
+        ):
+            PartitionSystem((2, 2), ((trivial_partition(2),),))
+
+    def test_ground_set_below_two(self):
+        with pytest.raises(
+            ValueError, match="^ground sets must have at least two elements$"
+        ):
+            PartitionSystem((2, 1), ((trivial_partition(2),), ()))
+
+    def test_partition_matches_its_axis(self):
+        with pytest.raises(
+            AxisMismatchError, match="^partition does not match its axis$"
+        ):
+            PartitionSystem((2, 3), ((trivial_partition(2),), (trivial_partition(2),)))
 
 
 def test_system_json_round_trip():
