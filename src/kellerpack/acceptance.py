@@ -60,9 +60,14 @@ class CriterionResult:
     seconds: float
 
 
+CRITERIA = []
+
+
 def _criterion(name: str):
     """Turn a check returning (passed, detail) into a criterion that
-    returns the CriterionResult named `name`, timed over the whole check."""
+    returns the CriterionResult named `name`, timed over the whole check,
+    and append it to CRITERIA, which thus lists the criteria in the order
+    of their definitions."""
 
     def decorate(check):
         @wraps(check)
@@ -71,6 +76,7 @@ def _criterion(name: str):
             passed, detail = check()
             return CriterionResult(name, passed, detail, time.time() - t0)
 
+        CRITERIA.append(criterion)
         return criterion
 
     return decorate
@@ -166,28 +172,25 @@ def criterion_4_complexity_bound():
 
 @_criterion("box-count identity |G| = n1...nd via hat measures")
 def criterion_5_box_count():
-    failures = 0
-    checked = 0
-    for m, q in [((2, 2), (2, 2)), ((2, 2, 2), (4, 4, 4)), ((3, 3), (3, 3)),
-                 ((2, 3), (6, 6))]:
-        expected = prod(m)
-        for t in _tilings(m, q):
-            report = verify_box_count(to_box_family(t))
-            checked += 1
-            if (
-                report.measure_sum != 1
-                or report.implied_size != expected
-                or not report.holds
-            ):
-                failures += 1
     binary = binary_system([2, 2], [[{0}], [{0}]])
     four = BoxFamily(
         binary, tuple(K for K in all_boxes(binary) if None not in K.factors)
     )
-    rep = verify_box_count(four)
-    checked += 1
-    if rep.implied_size != 4 or rep.measure_sum != 1 or not rep.holds:
-        failures += 1
+    grids = [((2, 2), (2, 2)), ((2, 2, 2), (4, 4, 4)), ((3, 3), (3, 3)),
+             ((2, 3), (6, 6))]
+    cases = chain(
+        ((to_box_family(t), prod(m)) for m, q in grids for t in _tilings(m, q)),
+        [(four, 4)],
+    )
+    failures = 0
+    for checked, (G, expected) in enumerate(cases, 1):
+        report = verify_box_count(G)
+        if (
+            report.measure_sum != 1
+            or report.implied_size != expected
+            or not report.holds
+        ):
+            failures += 1
     return failures == 0, f"{checked} partitions checked, {failures} failures"
 
 
@@ -292,19 +295,6 @@ def criterion_9_slow_path_equivalence():
         if brute != expanded:
             failures += 1
     return failures == 0, f"{len(specs)} grids compared, {failures} mismatches"
-
-
-CRITERIA = [
-    criterion_1_tight_bound_2x2,
-    criterion_2_tight_bound_2x2x2,
-    criterion_3_tight_bound_3x3,
-    criterion_4_complexity_bound,
-    criterion_5_box_count,
-    criterion_6_hat_disjointness,
-    criterion_7_rewrite_preservation,
-    criterion_8_mixed_sides,
-    criterion_9_slow_path_equivalence,
-]
 
 
 def run_all() -> list[CriterionResult]:

@@ -342,12 +342,13 @@ def _walk(cands, last, full, memo, covered, placed, final, split):
 
 
 def enumerate_all_tilings(spec: TorusSpec, budget: Optional[int] = None) -> list[TorusTiling]:
-    """Brute-force enumeration of every tiling, no symmetry reduction.
-
-    This is the slow oracle the reduced enumerator is checked against.
-    It sorts each raw tiling's start indices, then the list of index
-    tuples, which orders the tilings by their starts, and swaps each entry
-    in place for its tiling, built by _tiling with no per-tiling check.
+    """Brute-force enumeration of every tiling, no symmetry reduction:
+    the path of `enumerate` and `census` with `--symmetry none`.  It
+    shares _search and _tiling with enumerate_tilings, so criterion 9
+    checks only the symmetry layer against it.  It sorts each raw tiling's
+    start indices, then the list of index tuples, which orders the tilings
+    by their starts, and swaps each entry in place for its tiling, built
+    by _tiling with no per-tiling check.
     """
     check_budget(spec, budget)
     cells = _tables(spec)[0]

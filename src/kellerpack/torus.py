@@ -169,35 +169,22 @@ def to_box_family(t: TorusTiling) -> BoxFamily:
 
 
 def _box_family(t: TorusTiling) -> BoxFamily:
-    """to_box_family of a tiling already validated; a start's Box is
-    built from _start_factors on the start's first use."""
-    system = tiling_system(t.spec)
-    boxes = _start_boxes(t.spec)
-    for s in t.starts:
-        if s not in boxes:
-            rows = _start_factors(t.spec)
-            boxes[s] = Box(system, tuple(map(tuple.__getitem__, rows, s)))
-    return BoxFamily(system, tuple(map(boxes.__getitem__, t.starts)))
+    """to_box_family of a tiling already validated."""
+    spec = t.spec
+    return BoxFamily(tiling_system(spec), tuple(_start_box(spec, s) for s in t.starts))
 
 
-@lru_cache(maxsize=16)
-def _start_boxes(spec: TorusSpec) -> dict[tuple[int, ...], Box]:
-    """The Box of each start of `spec` used so far."""
-    return {}
-
-
-@lru_cache(maxsize=16)
-def _start_factors(spec: TorusSpec) -> tuple[tuple[BlockRef, ...], ...]:
-    """Per axis, the factor of the cube starting at each coordinate v: the
-    block of partition v mod q that holds v."""
+@lru_cache(maxsize=16_384)
+def _start_box(spec: TorusSpec, start: tuple[int, ...]) -> Box:
+    """The Box of the cube at `start`: on each axis, the block of partition
+    v mod q that holds the start's coordinate v.  The cache holds 16 specs
+    of 1,024 cells, so that the tilings of a spec share their starts'
+    Boxes, and with them the Boxes' shadow rows."""
     system = tiling_system(spec)
-    return tuple(
-        tuple(
-            BlockRef(v % q, system.partition(axis, v % q).block_containing(v))
-            for v in range(n)
-        )
-        for axis, (n, q) in enumerate(zip(spec.cell_sizes, spec.q))
-    )
+    return Box(system, tuple(
+        BlockRef(v % q, system.partition(axis, v % q).block_containing(v))
+        for axis, (v, q) in enumerate(zip(start, spec.q))
+    ))
 
 
 def require_bound(t: TorusTiling, name) -> tuple[PParams, CStats, bool]:

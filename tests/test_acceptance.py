@@ -7,7 +7,8 @@ criterion (run with -s to see them live).
 
 import random
 import re
-from itertools import islice
+from fractions import Fraction
+from itertools import cycle, islice
 
 import pytest
 
@@ -20,8 +21,16 @@ from kellerpack import (
     to_box_family,
 )
 from kellerpack.acceptance import CRITERIA, CriterionResult, run_all
-from kellerpack.boxes import c_stats, keller_families, pile_rewrite
+from kellerpack.boxes import (
+    PartitionStatus,
+    c_stats,
+    keller_families,
+    keller_pair,
+    pile_rewrite,
+)
+from kellerpack.cli import main
 from kellerpack.errors import TheoremViolationError
+from kellerpack.hats import BoxCountReport
 from kellerpack.partitions import arc_system
 from kellerpack.sampling import random_keller_family, random_system
 
@@ -61,6 +70,52 @@ def test_criteria_keep_the_names_and_results_the_benchmark_reads(results):
         assert isinstance(res, CriterionResult)
         assert type(res.seconds) is float and res.seconds >= 0
     assert CRITERIA[3].__doc__.startswith("Theorem B on every family")
+
+
+def cycling_statuses():
+    """A classify_partition that answers EXPOSED, ABSENT, HIDDEN, EXPOSED
+    in turn: every rewrite pair then loses an exposed or a hidden status."""
+    statuses = cycle([PartitionStatus.EXPOSED, PartitionStatus.ABSENT,
+                      PartitionStatus.HIDDEN, PartitionStatus.EXPOSED])
+    return lambda G, axis, p: next(statuses)
+
+
+FAILURES = [
+    # every family fails the identity, the four-box family included
+    ("verify_box_count", lambda: lambda G: BoxCountReport(Fraction(1), None, False),
+     "criterion_5_box_count", re.escape("71 partitions checked, 71 failures")),
+    # |G| = 4 holds only for the 2 tilings of (2,2)/(2,2) and the four boxes
+    ("verify_box_count", lambda: lambda G: BoxCountReport(Fraction(1), 4, True),
+     "criterion_5_box_count", re.escape("71 partitions checked, 68 failures")),
+    ("hats_disjoint", lambda: lambda K, L: not keller_pair(K, L),
+     "criterion_6_hat_disjointness", re.escape("1476 box pairs, 1476 mismatches")),
+    ("classify_partition", cycling_statuses, "criterion_7_rewrite_preservation",
+     r"1000 suit pairs, [1-9]\d* exposed violations, [1-9]\d* hidden violations"),
+    ("orbit", lambda: lambda t: set(), "criterion_9_slow_path_equivalence",
+     re.escape("6 grids compared, 6 mismatches")),
+]
+
+
+@pytest.mark.parametrize("collaborator, make_fake, criterion, detail", FAILURES)
+def test_criterion_fails_on_a_broken_collaborator(
+    monkeypatch, collaborator, make_fake, criterion, detail
+):
+    monkeypatch.setattr(acceptance, collaborator, make_fake())
+    result = getattr(acceptance, criterion)()
+    assert not result.passed
+    assert re.fullmatch(detail, result.detail), result.detail
+
+
+def test_verify_exits_1_when_a_criterion_fails(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "orbit", lambda t: set())
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert lines[-1] == (
+        "[FAIL] criterion 9: symmetry-reduced stream expands to the "
+        "brute-force multiset -- 6 grids compared, 6 mismatches"
+    )
+    assert all(line.startswith("[PASS]") for line in lines[:-1])
 
 
 def old_theorem_b_families(seed, n_random=10_000):

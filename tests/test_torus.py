@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -29,7 +30,7 @@ from kellerpack.errors import (
     RecipeError,
 )
 from kellerpack.serialization import tiling_from_obj, tiling_to_obj
-from kellerpack.torus import _start_boxes, _start_factors, require_valid
+from kellerpack.torus import _start_box, require_valid
 
 
 GRID = TorusTiling(TorusSpec((2, 2), (2, 2)), ((0, 0), (0, 2), (2, 0), (2, 2)))
@@ -272,12 +273,14 @@ class TestTheoremC:
 class TestBridge:
     @pytest.mark.parametrize("m,q", [((2, 2), (2, 2)), ((2, 3), (6, 4)), ((3, 2, 2), (1, 2, 3))])
     def test_start_factors_hold_each_coordinate(self, m, q):
+        # the factors of every start's Box, one per axis
         spec = TorusSpec(m, q)
         system = tiling_system(spec)
-        rows = _start_factors(spec)
-        assert [len(row) for row in rows] == list(spec.cell_sizes)
-        for axis, row in enumerate(rows):
-            for v, (p, block) in enumerate(row):
+        for start in product(*map(range, spec.cell_sizes)):
+            K = _start_box(spec, start)
+            assert K.system is system
+            assert len(K.factors) == spec.dimension
+            for axis, (v, (p, block)) in enumerate(zip(start, K.factors)):
                 assert p == v % spec.q[axis]
                 assert system.partition(axis, p).blocks[block] >> v & 1
 
@@ -297,9 +300,10 @@ class TestBridge:
             return real(K, axis)
 
         monkeypatch.setattr(kellerpack.boxes, "_shadow_mask", counting)
-        _start_boxes.cache_clear()
+        _start_box.cache_clear()
         fresh = census(spec, frozenset())
         assert fresh.tilings_total == 744
+        assert _start_box.cache_info().currsize <= spec.n_cells
         assert 0 < len(calls) <= spec.n_cells * spec.dimension
         shadowed = len(calls)
         assert census(spec, frozenset()) == fresh
