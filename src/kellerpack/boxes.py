@@ -18,14 +18,21 @@ BoxFamily._pile, the one pile test, "laminated and hidden", of is_pile
 and of the multipile recognizer and constructor, reads the pile's own.
 all_boxes lists every box of a system, and keller_families every Keller
 family, by a clique walk.
+
+Keller pairs are one AND on the system's block bits (block_bits): a
+box's keller_bits are (sel, clash), the bits of its blocks and those of
+the other blocks of their partitions, and K, L are a Keller pair iff
+K's clash & L's sel != 0.  keller_pair, the Keller verdict and
+keller_families take that AND; keller_factors, the rule as written, is
+the tests' oracle for it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -40,7 +47,7 @@ from .errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
-from .partitions import Partition, PartitionSystem, elems_of
+from .partitions import Partition, PartitionSystem, elems_of, lazy
 
 
 class BlockRef(NamedTuple):
@@ -105,14 +112,26 @@ class Box:
     def volume(self) -> int:
         return prod(len(self.factor_elems(a)) for a in range(self.system.dimension))
 
-    # cached outside the dataclass fields, so eq, hash and repr ignore it
-    @cached_property
+    # cached outside the dataclass fields, so eq, hash and repr ignore them
+    @lazy
     def row(self) -> tuple[Optional[tuple[BlockRef, int]], ...]:
         """Per axis, the factor and the shadow there; None if full."""
         return tuple(
             None if f is None else (f, _shadow_mask(self, axis))
             for axis, f in enumerate(self.factors)
         )
+
+    @lazy
+    def keller_bits(self) -> tuple[int, int]:
+        """(sel, clash) on the system's block bits: the bits of the box's
+        blocks, and those of the other blocks of their partitions."""
+        sel = clash = 0
+        for bits, f in zip(self.system.block_bits, self.factors):
+            if f is not None:
+                b, c = bits[f.partition][f.block]
+                sel |= b
+                clash |= c
+        return sel, clash
 
 
 def row_major_strides(sizes: Sequence[int]) -> tuple[int, ...]:
@@ -170,10 +189,15 @@ def is_cylinder(P: PointSet, axis: int) -> bool:
     This is the slow oracle; classify_partition uses a shadow comparison as
     the fast path and the two are cross-checked in the test suite.
     """
-    # one point per axis line: its coordinate on `axis` is 0
-    ranges = [range(1 if i == axis else s) for i, s in enumerate(P.sizes)]
-    lines = (line_mask(P.sizes, point, axis) for point in product(*ranges))
-    return all((P.bits & lm) in (0, lm) for lm in lines)
+    strides = row_major_strides(P.sizes)
+    line = sum(1 << v * strides[axis] for v in range(P.sizes[axis]))
+    # each axis line is `line` shifted by the index of its point with
+    # coordinate 0 on `axis`
+    offsets = product(*(
+        range(0, 1 if i == axis else s * st, st)
+        for i, (s, st) in enumerate(zip(P.sizes, strides))
+    ))
+    return all((P.bits >> sum(o) & line) in (0, line) for o in offsets)
 
 
 @dataclass(frozen=True)
@@ -207,22 +231,26 @@ class BoxFamily:
 
     # Cached in the instance __dict__, outside the dataclass fields, so eq,
     # hash and repr ignore them.
-    @cached_property
+    @lazy
     def _is_keller(self) -> bool:
-        # every box is of self.system, as __post_init__ checked
-        return all(
-            keller_factors(K.factors, L.factors)
-            for K, L in combinations(self.boxes, 2)
-        )
+        # every box is of self.system, as __post_init__ checked, so all
+        # share one block numbering
+        sels: list[int] = []
+        for K in self.boxes:
+            sel, clash = K.keller_bits
+            if not all(map(clash.__and__, sels)):
+                return False
+            sels.append(sel)
+        return True
 
-    @cached_property
+    @lazy
     def _rows(self) -> tuple[tuple[Optional[tuple[BlockRef, int]], ...], ...]:
         """Per axis, each box's row there (the boxes' rows transposed)."""
         return tuple(zip(*(K.row for K in self.boxes))) or (
             ((),) * self.system.dimension
         )
 
-    @cached_property
+    @lazy
     def _tables(self) -> dict[int, tuple[frozenset[int], ...]]:
         """The partition-status tables built so far, by mask."""
         return {}
@@ -263,7 +291,7 @@ class BoxFamily:
                 subs[row[0].block] |= 1 << i
         return subs if p in self._status(mask)[axis] else None
 
-    @cached_property
+    @lazy
     def _c_stats(self) -> "CStats":
         hidden = self._status((1 << len(self.boxes)) - 1)
         c_per_axis = tuple(
@@ -278,11 +306,12 @@ def keller_pair(K: Box, L: Box) -> bool:
     blocks of one and the same partition."""
     if K.system != L.system:
         raise SystemMismatchError("boxes from different systems")
-    return keller_factors(K.factors, L.factors)
+    return bool(K.keller_bits[1] & L.keller_bits[0])
 
 
 def keller_factors(a: Sequence[Factor], b: Sequence[Factor]) -> bool:
-    """keller_pair on two normalized factor tuples of one system."""
+    """Keller's condition as written, on two normalized factor tuples of
+    one system: the tests' oracle for keller_pair's block-bit AND."""
     for f, g in zip(a, b):
         if (
             f is not None
@@ -318,10 +347,10 @@ def keller_families(system: PartitionSystem) -> Iterator[BoxFamily]:
     A depth-first walk over bit masks of the candidates that extend the
     current clique (Bron-Kerbosch without pivoting, CACM 16, 1973)."""
     boxes = all_boxes(system)
-    factors = [K.factors for K in boxes]
+    bits = [K.keller_bits for K in boxes]
     adj = [
-        sum(1 << j for j, b in enumerate(factors) if keller_factors(a, b))
-        for a in factors
+        sum(1 << j for j, (sel, _) in enumerate(bits) if clash & sel)
+        for _, clash in bits
     ]
     stack = [((), (1 << len(boxes)) - 1)]
     while stack:

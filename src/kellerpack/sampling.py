@@ -1,7 +1,9 @@
 """Randomized generators for property sweeps, reproducible from a seeded
 random.Random.  Draws call only rng.random and rng.randrange: CPython's
 randint(a, b) and choice(s) make the same _randbelow calls as
-a + randrange(b - a + 1) and s[randrange(len(s))], so the stream is theirs."""
+a + randrange(b - a + 1) and s[randrange(len(s))], so the stream is theirs.
+A box is drawn from a table of the system's block bits (block_bits), and
+Keller pairs are tested on them as boxes.py tests them."""
 
 import random
 
@@ -45,19 +47,15 @@ def random_system(rng: random.Random) -> PartitionSystem:
 
 
 def _draw_table(system: PartitionSystem) -> tuple:
-    """Per axis, per nontrivial partition, per block: (factor, bit, clash)."""
-    axes, bit = [], 1
-    for axis, family in enumerate(system.families):
-        parts = []
-        for p in system.nontrivial_indices(axis):
-            n = family[p].n_blocks
-            whole = ((1 << n) - 1) * bit
-            parts.append(
-                tuple((BlockRef(p, b), bit << b, whole ^ bit << b) for b in range(n))
-            )
-            bit <<= n
-        axes.append(tuple(parts))
-    return tuple(axes)
+    """Per axis, per nontrivial partition, per block: (factor, bit, clash),
+    the bits of the system's block numbering."""
+    return tuple(
+        tuple(
+            tuple((BlockRef(p, b), *bits) for b, bits in enumerate(parts[p]))
+            for p in system.nontrivial_indices(axis)
+        )
+        for axis, parts in enumerate(system.block_bits)
+    )
 
 
 def _draw_factors(table: tuple, rng: random.Random) -> tuple:

@@ -9,7 +9,7 @@ cyclically.  All arithmetic is integer; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Optional, Sequence
@@ -22,7 +22,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .multipiles import extremal_p_value, require_theorem_b
-from .partitions import PartitionSystem, arc_system_mixed
+from .partitions import PartitionSystem, arc_system_mixed, lazy
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class TorusSpec:
     def dimension(self) -> int:
         return len(self.m)
 
-    @cached_property
+    @lazy
     def cell_sizes(self) -> tuple[int, ...]:
         return tuple(m * q for m, q in zip(self.m, self.q))
 

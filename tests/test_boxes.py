@@ -2,7 +2,7 @@ import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import prod
 
 import pytest
 
@@ -14,9 +14,12 @@ from kellerpack import (
     Box,
     BoxFamily,
     PartitionStatus,
+    PartitionSystem,
+    PointSet,
     TorusSpec,
     TorusTiling,
     arc_system,
+    arc_system_mixed,
     binary_system,
     c_stats,
     classify_partition,
@@ -26,6 +29,7 @@ from kellerpack import (
     is_pile,
     keller_pair,
     line_partition_check,
+    make_partition,
     pile_rewrite,
     realize,
     realize_box,
@@ -33,8 +37,9 @@ from kellerpack import (
     restrict_to_partition,
     theorem_b_report,
     to_box_family,
+    trivial_partition,
 )
-from kellerpack.boxes import all_boxes, keller_families
+from kellerpack.boxes import all_boxes, keller_factors, keller_families
 from kellerpack.errors import (
     CompletenessError,
     DuplicateBoxError,
@@ -46,6 +51,7 @@ from kellerpack.errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
+from kellerpack.hats import hats_disjoint
 from kellerpack.multipiles import is_multipile
 from kellerpack.sampling import random_keller_family, random_system
 
@@ -130,6 +136,64 @@ class TestKellerPair:
         sys_ = arc_system(2, 1, 2)
         factors = (BlockRef(0, 1), BlockRef(0, 0))
         assert Box(sys_, factors).factors is factors
+
+
+def numbering_systems():
+    """Arc systems, one axis, a trivial-only axis and ten random draws."""
+    rng = random.Random(29)
+    return [
+        arc_system(2, 2, 2),
+        arc_system_mixed((2, 3), (1, 2)),
+        arc_system(3, 2, 1),
+        PartitionSystem(
+            (3, 2),
+            (
+                (make_partition(3, [[0], [1, 2]]), trivial_partition(3)),
+                (trivial_partition(2),),
+            ),
+        ),
+    ] + [random_system(rng) for _ in range(10)]
+
+
+@pytest.mark.parametrize("system", numbering_systems())
+class TestBlockNumbering:
+    def test_one_keller_rule(self, system):
+        boxes = all_boxes(system)
+        for K, L in product(boxes, repeat=2):
+            verdict = keller_pair(K, L)
+            (k_sel, k_clash), (l_sel, l_clash) = K.keller_bits, L.keller_bits
+            assert keller_factors(K.factors, L.factors) == verdict
+            assert bool(k_clash & l_sel) == bool(l_clash & k_sel) == verdict
+        for K, L in combinations(boxes, 2):
+            assert hats_disjoint(K, L) == keller_pair(K, L)
+
+    def test_is_keller_matches_all_pairs(self, system):
+        boxes = all_boxes(system)
+        rng = random.Random(len(boxes))
+        verdicts = Counter()
+        for _ in range(200):
+            sub = rng.sample(boxes, min(len(boxes), 1 + rng.randrange(4)))
+            G = BoxFamily(system, tuple(sub))
+            oracle = all(
+                keller_factors(K.factors, L.factors) for K, L in combinations(sub, 2)
+            )
+            assert G._is_keller == oracle
+            verdicts[oracle] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_each_block_has_a_bit_and_clashes_with_its_partition(self, system):
+        seen = 0
+        for axis, parts in enumerate(system.block_bits):
+            for p, blocks in enumerate(parts):
+                part = system.partition(axis, p)
+                assert len(blocks) == (0 if part.is_trivial else part.n_blocks)
+                whole = sum(bit for bit, _ in blocks)
+                for bit, clash in blocks:
+                    assert bit.bit_count() == 1 and not bit & seen
+                    seen |= bit
+                    assert clash == whole ^ bit
+        boxes = all_boxes(system)
+        assert len({K.keller_bits[0] for K in boxes}) == len(boxes)
 
 
 class TestIsKellerFamily:
@@ -290,6 +354,24 @@ class TestRestrict:
 
 
 class TestIsCylinder:
+    def test_matches_every_point_line(self):
+        # the point scan against its definition, point by point: every
+        # point on the axis line of a covered point is covered
+        rng = random.Random(7)
+        verdicts = Counter()
+        for _ in range(300):
+            sizes = tuple(2 + rng.randrange(2) for _ in range(1 + rng.randrange(3)))
+            P = PointSet(sizes, rng.getrandbits(prod(sizes)))
+            for axis in range(len(sizes)):
+                scan = all(
+                    P.contains(point[:axis] + (v,) + point[axis + 1:])
+                    for point in P.points()
+                    for v in range(sizes[axis])
+                )
+                assert is_cylinder(P, axis) == scan
+                verdicts[scan] += 1
+        assert verdicts[True] and verdicts[False]
+
     def test_full_space(self, grid_family):
         P = realize(grid_family)
         assert is_cylinder(P, 0) and is_cylinder(P, 1)
@@ -383,21 +465,23 @@ class TestCStats:
 
 class TestFamilyCache:
     def test_one_keller_scan_per_family(self, laminated_family, monkeypatch):
-        real = kellerpack.boxes.keller_factors
+        # counts the scans of the boxes' block-bit AND that give the verdict
+        scan = BoxFamily._is_keller
+        real = scan.func
         calls = []
 
-        def counting(a, b):
-            calls.append((a, b))
-            return real(a, b)
+        def counting(G):
+            calls.append(G)
+            return real(G)
 
-        monkeypatch.setattr(kellerpack.boxes, "keller_factors", counting)
+        monkeypatch.setattr(scan, "func", counting)
         G = BoxFamily(laminated_family.system, laminated_family.boxes)
         before = (hash(G), repr(G))
         assert is_keller_family(G)
         stats = c_stats(G)
         assert theorem_b_report(G).c == stats.c_total
         assert c_stats(G) is stats
-        assert len(calls) == comb(len(G), 2)
+        assert len(calls) == 1
         assert G == BoxFamily(G.system, G.boxes)
         assert (hash(G), repr(G)) == before
         assert [f.name for f in dataclasses.fields(BoxFamily)] == ["system", "boxes"]

@@ -16,6 +16,7 @@ from kellerpack import (
     make_partition,
     trivial_partition,
 )
+from kellerpack.partitions import lazy
 from kellerpack.errors import (
     AxisMismatchError,
     CoverageError,
@@ -359,3 +360,51 @@ def test_system_json_tolerates_unordered_blocks():
     sys_ = system_from_obj(obj)
     assert sets(sys_.families[0][0]) == [{0, 1}, {2, 3}]
     assert sys_.is_unital  # trivial partition adjoined on read
+
+
+class TestLazy:
+    @dataclasses.dataclass(frozen=True)
+    class Point:
+        x: int
+        y: int
+        computed = []
+
+        @lazy
+        def norm(self) -> int:
+            """The L1 norm."""
+            type(self).computed.append(self)
+            return abs(self.x) + abs(self.y)
+
+    def test_computed_once_and_stored_in_the_instance_dict(self):
+        P = self.Point
+        a = P(1, -2)
+        P.computed.clear()
+        assert "norm" not in a.__dict__
+        assert a.norm == 3 and a.norm == 3
+        assert a.__dict__["norm"] == 3
+        assert P.computed == [a]
+        b = P(1, -2)
+        assert b.norm == 3
+        assert P.computed == [a, b]
+
+    def test_class_access_returns_the_descriptor(self):
+        d = self.Point.norm
+        assert isinstance(d, lazy)
+        assert d.name == "norm" and d.__doc__ == "The L1 norm."
+
+    def test_frozen_dataclass_eq_hash_and_repr_ignore_the_value(self):
+        P = self.Point
+        a, b = P(3, 4), P(3, 4)
+        before = (hash(a), repr(a))
+        assert a.norm == 7
+        assert a == b and hash(a) == hash(b) == before[0]
+        assert repr(a) == repr(b) == before[1] == "TestLazy.Point(x=3, y=4)"
+        assert [f.name for f in dataclasses.fields(P)] == ["x", "y"]
+
+    def test_package_tables_are_lazy(self):
+        system = arc_system(2, 2, 2)
+        assert "block_bits" not in system.__dict__
+        bits = system.block_bits
+        assert system.__dict__["block_bits"] is bits
+        assert system == arc_system(2, 2, 2)
+        assert hash(system) == hash(arc_system(2, 2, 2))

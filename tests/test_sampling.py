@@ -202,3 +202,18 @@ def test_criterion_4_random_tail_digest():
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         "f025497f79028f0a7d443643d74292c7020c4fb1fef4a2e68626e49acbbe602b"
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_draw_table_reads_the_system_numbering(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(50):
+        system = random_system(rng)
+        table = _draw_table(system)
+        for axis, parts in enumerate(table):
+            assert len(parts) == len(system.nontrivial_indices(axis))
+            for blocks in parts:
+                p = blocks[0][0].partition
+                assert [(f.block, bit, clash) for f, bit, clash in blocks] == [
+                    (b, *bits) for b, bits in enumerate(system.block_bits[axis][p])
+                ]
