@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import prod
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CompletenessError,
@@ -47,15 +47,7 @@ from .errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
-from .partitions import Partition, PartitionSystem, elems_of, lazy
-
-
-class BlockRef(NamedTuple):
-    """A block of a partition on one axis: (partition index, block index)."""
-
-    partition: int
-    block: int
-
+from .partitions import BlockRef, Partition, PartitionSystem, elems_of, lazy
 
 Factor = Optional[BlockRef]  # None means the full axis X_i
 
@@ -128,7 +120,7 @@ class Box:
         sel = clash = 0
         for bits, f in zip(self.system.block_bits, self.factors):
             if f is not None:
-                b, c = bits[f.partition][f.block]
+                _, b, c = bits[f.partition][f.block]
                 sel |= b
                 clash |= c
         return sel, clash

@@ -4,7 +4,7 @@ Elements of a ground set are dense indices 0..size-1 and every block is a
 bit mask over them; ground sets at desk scale stay below a few hundred
 cells, so Python ints are the natural fixed-width bit vector.  A system
 gives each block of its nontrivial partitions a bit, for boxes.py's
-Keller test.
+Keller test and the sampler's draws.
 
 `lazy` is the package's one cached attribute.  As cached_property does,
 it stores the value in the instance __dict__, which a frozen dataclass's
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     AxisMismatchError,
@@ -45,6 +45,13 @@ class lazy:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+class BlockRef(NamedTuple):
+    """A block of a partition on one axis: (partition index, block index)."""
+
+    partition: int
+    block: int
 
 
 def mask_of(elems: Iterable[int]) -> int:
@@ -241,17 +248,22 @@ class PartitionSystem:
         return self._nontrivial[axis]
 
     @lazy
-    def block_bits(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """Per axis, per partition, per block: (bit, clash), a bit of its
-        own and the bits of the other blocks of its partition.  A trivial
-        partition's block has none: no box factor refers to it."""
+    def block_bits(
+        self,
+    ) -> tuple[tuple[tuple[tuple[BlockRef, int, int], ...], ...], ...]:
+        """Per axis, per partition, per block: (ref, bit, clash), the
+        block's BlockRef, a bit of its own and the bits of the other blocks
+        of its partition.  A trivial partition has no entries: no box
+        factor refers to it."""
         axes, bit = [], 1
         for family in self.families:
             parts = []
-            for p in family:
-                n = 0 if p.is_trivial else p.n_blocks
+            for p, part in enumerate(family):
+                n = 0 if part.is_trivial else part.n_blocks
                 whole = ((1 << n) - 1) * bit
-                parts.append(tuple((bit << b, whole ^ bit << b) for b in range(n)))
+                parts.append(tuple([
+                    (BlockRef(p, b), bit << b, whole ^ bit << b) for b in range(n)
+                ]))
                 bit <<= n
             axes.append(tuple(parts))
         return tuple(axes)

@@ -7,7 +7,7 @@ Keller pairs are tested on them as boxes.py tests them."""
 
 import random
 
-from .boxes import BlockRef, Box, BoxFamily
+from .boxes import Box, BoxFamily
 from .partitions import Partition, PartitionSystem, independent, trivial_partition
 
 
@@ -48,14 +48,8 @@ def random_system(rng: random.Random) -> PartitionSystem:
 
 def _draw_table(system: PartitionSystem) -> tuple:
     """Per axis, per nontrivial partition, per block: (factor, bit, clash),
-    the bits of the system's block numbering."""
-    return tuple(
-        tuple(
-            tuple((BlockRef(p, b), *bits) for b, bits in enumerate(parts[p]))
-            for p in system.nontrivial_indices(axis)
-        )
-        for axis, parts in enumerate(system.block_bits)
-    )
+    the system's block numbering without its trivial partitions."""
+    return tuple(tuple(filter(None, parts)) for parts in system.block_bits)
 
 
 def _draw_factors(table: tuple, rng: random.Random) -> tuple:

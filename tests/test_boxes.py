@@ -187,8 +187,9 @@ class TestBlockNumbering:
             for p, blocks in enumerate(parts):
                 part = system.partition(axis, p)
                 assert len(blocks) == (0 if part.is_trivial else part.n_blocks)
-                whole = sum(bit for bit, _ in blocks)
-                for bit, clash in blocks:
+                whole = sum(bit for _, bit, _ in blocks)
+                for b, (ref, bit, clash) in enumerate(blocks):
+                    assert type(ref) is BlockRef and ref == (p, b)
                     assert bit.bit_count() == 1 and not bit & seen
                     seen |= bit
                     assert clash == whole ^ bit

@@ -211,9 +211,12 @@ def test_draw_table_reads_the_system_numbering(seed):
         system = random_system(rng)
         table = _draw_table(system)
         for axis, parts in enumerate(table):
-            assert len(parts) == len(system.nontrivial_indices(axis))
+            assert [blocks[0][0].partition for blocks in parts] == list(
+                system.nontrivial_indices(axis)
+            )
             for blocks in parts:
                 p = blocks[0][0].partition
-                assert [(f.block, bit, clash) for f, bit, clash in blocks] == [
-                    (b, *bits) for b, bits in enumerate(system.block_bits[axis][p])
+                assert blocks == system.block_bits[axis][p]
+                assert [f for f, _, _ in blocks] == [
+                    BlockRef(p, b) for b in range(len(blocks))
                 ]
