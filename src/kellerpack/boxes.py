@@ -16,8 +16,10 @@ shadow.  It is built from the rows once per mask and kept on the family.
 c_stats and classify_partition read the full mask's table, and
 BoxFamily._pile, the one pile test, "laminated and hidden", of is_pile
 and of the multipile recognizer and constructor, reads the pile's own.
-all_boxes lists every box of a system, and keller_families every Keller
-family, by a clique walk.
+all_boxes lists every box of a system, reading its factors from the
+system's block list (block_bits), and keller_families every Keller
+family, by a clique walk.  line_partition_check picks the boxes that meet
+an axis line by their factors.
 
 Keller pairs are one AND on the system's block bits (block_bits): a
 box's keller_bits are (sel, clash), the bits of its blocks and those of
@@ -47,7 +49,7 @@ from .errors import (
     SystemMismatchError,
     TrivialPartitionError,
 )
-from .partitions import BlockRef, Partition, PartitionSystem, elems_of, lazy
+from .partitions import BlockRef, Partition, PartitionSystem, elems_of, lazy, mask_of
 
 Factor = Optional[BlockRef]  # None means the full axis X_i
 
@@ -161,18 +163,6 @@ class PointSet:
         for point in product(*(range(s) for s in self.sizes)):
             if self.contains(point):
                 yield point
-
-
-def line_mask(sizes: Sequence[int], point: Sequence[int], axis: int) -> int:
-    """Bit mask of the full axis line through `point`."""
-    strides = row_major_strides(sizes)
-    base = sum(
-        (0 if i == axis else x) * s for i, (x, s) in enumerate(zip(point, strides))
-    )
-    mask = 0
-    for v in range(sizes[axis]):
-        mask |= 1 << (base + v * strides[axis])
-    return mask
 
 
 def is_cylinder(P: PointSet, axis: int) -> bool:
@@ -318,15 +308,10 @@ def keller_factors(a: Sequence[Factor], b: Sequence[Factor]) -> bool:
 def all_boxes(system: PartitionSystem) -> list[Box]:
     """Every box of `system`, in row-major order over the axes: on each
     axis the full axis (None) first, then each block of each nontrivial
-    partition."""
+    partition, as the BlockRefs of system.block_bits."""
     per_axis = [
-        [None]
-        + [
-            BlockRef(p, b)
-            for p in system.nontrivial_indices(axis)
-            for b in range(system.partition(axis, p).n_blocks)
-        ]
-        for axis in range(system.dimension)
+        [None] + [ref for blocks in parts for ref, _, _ in blocks]
+        for parts in system.block_bits
     ]
     return [Box(system, factors) for factors in product(*per_axis)]
 
@@ -552,12 +537,13 @@ def line_partition_check(
     defect = partition_defect(G)
     if defect is not None:
         raise NotPartitionError(f"family {defect}")
-    lm = line_mask(G.system.axis_sizes, point, axis)
-    induced: list[int] = []
-    for K in G.boxes:
-        if realize_box(K).bits & lm:
-            induced.append(sum(1 << e for e in K.factor_elems(axis)))
-    induced_sets = sorted(set(induced), key=lambda m: (m & -m).bit_length())
+    # a box meets the line iff its factor holds point[a] on every other axis
+    induced = {
+        mask_of(K.factor_elems(axis))
+        for K in G.boxes
+        if all(x in K.factor_elems(a) for a, x in enumerate(point) if a != axis)
+    }
+    induced_sets = sorted(induced, key=lambda m: (m & -m).bit_length())
     for cand in G.system.families[axis]:
         if list(cand.blocks) == induced_sets:
             return cand

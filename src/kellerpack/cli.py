@@ -104,7 +104,8 @@ def _emit(args, payload: dict[str, Any]) -> None:
 
 
 def _symmetry(args) -> frozenset[str]:
-    if not args.symmetry:
+    # only an absent flag selects all; an empty value fails below, as "," does
+    if args.symmetry is None:
         return ALL_SYMMETRIES
     flags = frozenset(args.symmetry.split(","))
     unknown = flags - ALL_SYMMETRIES - {"none"}
@@ -212,41 +213,32 @@ def cmd_census(args) -> int:
     spec = _input(_parse_spec, args)
     symmetry = _input(_symmetry, args)
     row = census(spec, symmetry, budget=args.budget)
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(
-            ["m", "q", "symmetry", "total", "max_p", "bound", "equality",
-             "multipiles"]
-        )
-        writer.writerow(
-            [
-                " ".join(map(str, row.m)),
-                " ".join(map(str, row.q)),
-                "+".join(row.symmetry),
-                row.tilings_total,
-                row.max_p,
-                row.bound,
-                row.equality_count,
-                row.multipile_count,
-            ]
-        )
-    else:
-        _emit(
-            args,
-            {
-                "m": list(row.m),
-                "q": list(row.q),
-                "symmetry": list(row.symmetry),
-                "total": row.tilings_total,
-                "p_histogram": row.p_histogram,
-                "max_p": row.max_p,
-                "bound": row.bound,
-                "equality": row.equality_count,
-                "multipiles": row.multipile_count,
-                "conjectural": row.conjectural,
-                "attaining_multipile": list(row.attaining_multipile),
-            },
-        )
+    payload = {
+        "m": list(row.m),
+        "q": list(row.q),
+        "symmetry": list(row.symmetry),
+        "total": row.tilings_total,
+        "p_histogram": row.p_histogram,
+        "max_p": row.max_p,
+        "bound": row.bound,
+        "equality": row.equality_count,
+        "multipiles": row.multipile_count,
+        "conjectural": row.conjectural,
+        "attaining_multipile": list(row.attaining_multipile),
+    }
+    if args.format != "csv":
+        _emit(args, payload)
+        return EXIT_OK
+    # the lists m, q and symmetry are joined into one cell each
+    joiners = {"m": " ", "q": " ", "symmetry": "+"}
+    columns = ["m", "q", "symmetry", "total", "max_p", "bound", "equality",
+               "multipiles"]
+    writer = csv.writer(sys.stdout)
+    writer.writerow(columns)
+    writer.writerow(
+        joiners[k].join(map(str, payload[k])) if k in joiners else payload[k]
+        for k in columns
+    )
     return EXIT_OK
 
 

@@ -6,6 +6,8 @@ that block, every other coordinate is free.  Disjointness of hats mirrors
 Keller's condition and suit equality becomes plain union equality, which
 makes counting arguments available.  The ambient product Y is never
 materialized: measures and union sizes are computed combinatorially.
+verify_box_count reads the implied family size from the block counts of
+each axis's nontrivial partitions in the system's block list.
 """
 
 from __future__ import annotations
@@ -151,16 +153,9 @@ def verify_box_count(G: BoxFamily) -> BoxCountReport:
     if partition_defect(G) is not None:
         raise NotPartitionError("family is not a partition of X")
     measure_sum = sum((hat_measure(K) for K in G.boxes), Fraction(0))
-    implied: Optional[int] = 1
-    for axis in range(G.system.dimension):
-        cards = {
-            G.system.partition(axis, p).n_blocks
-            for p in G.system.nontrivial_indices(axis)
-        }
-        if len(cards) == 1 and implied is not None:
-            implied *= cards.pop()
-        else:
-            implied = None
+    # per axis, the block counts of its nontrivial partitions
+    counts = [{len(bs) for bs in parts if bs} for parts in G.system.block_bits]
+    implied = prod(n for (n,) in counts) if all(len(c) == 1 for c in counts) else None
     holds = measure_sum == 1 and (implied is None or len(G) == implied)
     return BoxCountReport(measure_sum, implied, holds)
 

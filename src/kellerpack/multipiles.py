@@ -7,8 +7,10 @@ Multipiles are exactly the families attaining c(G) = |G| - 1.  Each pile
 test here, in the recognizer and the constructor, is BoxFamily._pile,
 the one test of "laminated and hidden", and every set of hidden
 partitions is BoxFamily._status(mask), the table of the boxes at a bit
-mask, which a family builds once per mask.  The recognizer has no
-separate refusal: its root step, the pile tests on the full mask, is it.
+mask, which a family builds once per mask.  The recognizer's memo maps
+each mask to its witness tree, or to None, and is_multipile wraps the
+root's in its one MultipileResult.  The recognizer has no separate
+refusal: its root step, the pile tests on the full mask, is it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     subfamily's table is built.
     """
     require_keller(G)
-    return _multipile(G, {}, (1 << len(G)) - 1)
+    tree = _multipile(G, {}, (1 << len(G)) - 1)
+    return MultipileResult(tree is not None, tree)
 
 
 def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
@@ -82,9 +85,9 @@ def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
     return stats, multipile
 
 
-def _multipile(G: BoxFamily, memo: dict, mask: int) -> MultipileResult:
-    """The recursion over subfamilies of G, as bit masks over its boxes,
-    memoized per mask in `memo`, a dict from mask to MultipileResult.  A
+def _multipile(G: BoxFamily, memo: dict, mask: int) -> Optional[MultipileTree]:
+    """The witness tree of the subfamily of G at bit mask `mask` over its
+    boxes, or None if it is no multipile, memoized per mask in `memo`.  A
     subfamily of a Keller family is Keller, so none is checked again."""
     if mask not in memo:
         first = G.boxes[(mask & -mask).bit_length() - 1]
@@ -93,7 +96,7 @@ def _multipile(G: BoxFamily, memo: dict, mask: int) -> MultipileResult:
         for axis, f in enumerate(first.factors):
             if found is None and f is not None:
                 found = _node(G, memo, mask, axis, f.partition)
-        memo[mask] = MultipileResult(found is not None, found)
+        memo[mask] = found
     return memo[mask]
 
 
@@ -108,9 +111,9 @@ def _node(G: BoxFamily, memo: dict, mask: int, axis: int, p: int) -> Optional[No
     children = []
     for sub in subs:
         child = _multipile(G, memo, sub)
-        if not child.verdict:
+        if child is None:
             return None
-        children.append(child.tree)
+        children.append(child)
     if _hidden_clash([G._status(sub) for sub in subs], axis) is not None:
         return None
     return Node(axis, p, tuple(children))

@@ -2,9 +2,12 @@
 
 Elements of a ground set are dense indices 0..size-1 and every block is a
 bit mask over them; ground sets at desk scale stay below a few hundred
-cells, so Python ints are the natural fixed-width bit vector.  A system
-gives each block of its nontrivial partitions a bit, for boxes.py's
-Keller test and the sampler's draws.
+cells, so Python ints are the natural fixed-width bit vector.  A system's
+block_bits is the one list of its nontrivial blocks: each gets a
+BlockRef and a bit.  nontrivial_indices, boxes.py's Keller test and
+all_boxes, hats.py's implied box count and the sampler's draws all read
+it.  It is built lazily, on first use, so that decoding a file or
+constructing a box never builds it.
 
 `lazy` is the package's one cached attribute.  As cached_property does,
 it stores the value in the instance __dict__, which a frozen dataclass's
@@ -237,15 +240,8 @@ class PartitionSystem:
             return self.families[axis][p]
         raise IndexError(f"no partition {p} on axis {axis}")
 
-    @lazy
-    def _nontrivial(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(i for i, p in enumerate(family) if not p.is_trivial)
-            for family in self.families
-        )
-
     def nontrivial_indices(self, axis: int) -> tuple[int, ...]:
-        return self._nontrivial[axis]
+        return tuple(p for p, blocks in enumerate(self.block_bits[axis]) if blocks)
 
     @lazy
     def block_bits(

@@ -24,6 +24,7 @@ from kellerpack import (
     c_stats,
     classify_partition,
     elementary_aggregate,
+    enumerate_tilings,
     is_cylinder,
     is_keller_family,
     is_pile,
@@ -53,6 +54,7 @@ from kellerpack.errors import (
 )
 from kellerpack.hats import hats_disjoint
 from kellerpack.multipiles import is_multipile
+from kellerpack.partitions import mask_of
 from kellerpack.sampling import random_keller_family, random_system
 
 
@@ -195,6 +197,31 @@ class TestBlockNumbering:
                     assert clash == whole ^ bit
         boxes = all_boxes(system)
         assert len({K.keller_bits[0] for K in boxes}) == len(boxes)
+
+    def test_nontrivial_indices_are_the_numbered_partitions(self, system):
+        for axis, family in enumerate(system.families):
+            assert system.nontrivial_indices(axis) == tuple(
+                p for p, part in enumerate(family) if not part.is_trivial
+            )
+
+    def test_all_boxes_factors_are_the_numbered_blocks(self, system):
+        # per axis the full axis, then each block of each nontrivial
+        # partition, both ascending, row-major over the axes
+        per_axis = [
+            [None]
+            + [
+                BlockRef(p, b)
+                for p, part in enumerate(family)
+                if not part.is_trivial
+                for b in range(part.n_blocks)
+            ]
+            for family in system.families
+        ]
+        boxes = all_boxes(system)
+        assert [K.factors for K in boxes] == list(product(*per_axis))
+        for K in boxes:
+            for parts, f in zip(system.block_bits, K.factors):
+                assert f is None or f is parts[f.partition][f.block][0]
 
 
 class TestIsKellerFamily:
@@ -726,7 +753,40 @@ class TestTheoremB:
         assert (checked, equality) == (68_398, 358)
 
 
+def scan_line_partition(G, point, axis):
+    """The family partition on `axis` whose blocks are the axis factors of
+    the boxes that realize_box shows meeting the line through `point`."""
+    line = [
+        point[:axis] + (v,) + point[axis + 1:]
+        for v in range(G.system.axis_sizes[axis])
+    ]
+    blocks = {
+        mask_of(K.factor_elems(axis))
+        for K in G.boxes
+        if any(realize_box(K).contains(x) for x in line)
+    }
+    return next(p for p in G.system.families[axis] if set(p.blocks) == blocks)
+
+
 class TestLinePartitionCheck:
+    @pytest.mark.parametrize(
+        "m, q", [((2, 2), (2, 2)), ((2, 3), (6, 6)), ((2, 2, 2), (2, 2, 2))]
+    )
+    def test_matches_the_point_scan_on_every_line(self, m, q):
+        spec = TorusSpec(m, q)
+        tilings = enumerate_tilings(spec)
+        assert tilings
+        for t in tilings:
+            G = to_box_family(t)
+            for axis, size in enumerate(G.system.axis_sizes):
+                # each line once, through a point off coordinate 0 on axis
+                others = [range(n) if a != axis else (size - 1,)
+                          for a, n in enumerate(G.system.axis_sizes)]
+                for point in product(*others):
+                    assert line_partition_check(G, point, axis) is (
+                        scan_line_partition(G, point, axis)
+                    ), (t, point, axis)
+
     def test_grid_line(self, grid_family):
         p = line_partition_check(grid_family, (0, 0), 0)
         assert p == grid_family.system.partition(0, 0)

@@ -289,6 +289,15 @@ class TestEnumerateCommand:
         assert_input_error(code, captured.err)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["census", "enumerate"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_symmetry_flag_is_input_error(self, capsys, command, value):
+        code = main([command, "--m", "2,2", "--q", "2,2", f"--symmetry={value}"])
+        captured = capsys.readouterr()
+        assert_input_error(code, captured.err)
+        assert captured.err == "error: unknown symmetry flags: ['']\n"
+        assert captured.out == ""
+
 
 class TestCensusCommand:
     def test_csv(self, capsys):
@@ -365,6 +374,99 @@ class TestCensusCommand:
         assert_theorem_violation(
             code, capsys.readouterr(), "c_i(G) = (1, 1)", f"on {GRID.starts}"
         )
+
+
+# census stdout in each format, byte for byte, on a mixed 2-D grid, a
+# mixed 3-D grid and a grid with no symmetry reduction
+CENSUS_GRIDS = {
+    "2x3": (
+        ["--m", "2,3", "--q", "6,6"],
+        {"m": "2,3", "q": "6,6", "symmetry": None},
+        {
+            "m": [2, 3], "q": [6, 6], "symmetry": ["permute", "reflect", "translate"],
+            "total": 10, "p_histogram": {"2": 1, "3": 6, "4": 3}, "max_p": 4,
+            "bound": 4, "equality": 3, "multipiles": 6, "conjectural": True,
+            "attaining_multipile": [True, True, True],
+        },
+        "2 3,6 6,permute+reflect+translate,10,4,4,3,6",
+        "m: [2, 3]\n"
+        "q: [6, 6]\n"
+        "symmetry: ['permute', 'reflect', 'translate']\n"
+        "total: 10\n"
+        "p_histogram: {2: 1, 3: 6, 4: 3}\n"
+        "max_p: 4\n"
+        "bound: 4\n"
+        "equality: 3\n"
+        "multipiles: 6\n"
+        "conjectural: True\n"
+        "attaining_multipile: [True, True, True]\n",
+    ),
+    "2x2x3": (
+        ["--m", "2,2,3", "--q", "1,2,6"],
+        {"m": "2,2,3", "q": "1,2,6", "symmetry": None},
+        {
+            "m": [2, 2, 3], "q": [1, 2, 6],
+            "symmetry": ["permute", "reflect", "translate"], "total": 122,
+            "p_histogram": {"3": 1, "4": 19, "5": 55, "6": 39, "7": 8},
+            "max_p": 7, "bound": 10, "equality": 0, "multipiles": 8,
+            "conjectural": True, "attaining_multipile": [],
+        },
+        "2 2 3,1 2 6,permute+reflect+translate,122,7,10,0,8",
+        "m: [2, 2, 3]\n"
+        "q: [1, 2, 6]\n"
+        "symmetry: ['permute', 'reflect', 'translate']\n"
+        "total: 122\n"
+        "p_histogram: {3: 1, 4: 19, 5: 55, 6: 39, 7: 8}\n"
+        "max_p: 7\n"
+        "bound: 10\n"
+        "equality: 0\n"
+        "multipiles: 8\n"
+        "conjectural: True\n"
+        "attaining_multipile: []\n",
+    ),
+    "2x2-none": (
+        ["--m", "2,2", "--q", "2,2", "--symmetry", "none"],
+        {"m": "2,2", "q": "2,2", "symmetry": "none"},
+        {
+            "m": [2, 2], "q": [2, 2], "symmetry": [], "total": 12,
+            "p_histogram": {"2": 4, "3": 8}, "max_p": 3, "bound": 3,
+            "equality": 8, "multipiles": 8, "conjectural": False,
+            "attaining_multipile": [True] * 8,
+        },
+        "2 2,2 2,,12,3,3,8,8",
+        "m: [2, 2]\n"
+        "q: [2, 2]\n"
+        "symmetry: []\n"
+        "total: 12\n"
+        "p_histogram: {2: 4, 3: 8}\n"
+        "max_p: 3\n"
+        "bound: 3\n"
+        "equality: 8\n"
+        "multipiles: 8\n"
+        "conjectural: False\n"
+        "attaining_multipile: [True, True, True, True, True, True, True, True]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(CENSUS_GRIDS))
+def test_census_stdout_is_pinned_in_every_format(monkeypatch, capsys, grid):
+    # the JSON config records the budget, so the default must be in force
+    monkeypatch.delenv("KELLERPACK_CELL_BUDGET", raising=False)
+    argv, spec_args, payload, csv_row, text = CENSUS_GRIDS[grid]
+    config = {
+        "budget": 1024, "command": "census", "format": "json", "jobs": 1,
+        **spec_args, "seed": 0, "version": "0.1.0",
+    }
+    config = dict(sorted(config.items()))
+    expected = {
+        "json": json.dumps({"config": config, **payload}, indent=2) + "\n",
+        "csv": "m,q,symmetry,total,max_p,bound,equality,multipiles\r\n"
+        + csv_row + "\r\n",
+        "text": text,
+    }
+    for fmt, out in expected.items():
+        assert run(capsys, ["census", *argv, "--format", fmt]) == (0, out), fmt
 
 
 class TestVerifyCommand:

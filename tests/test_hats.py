@@ -13,6 +13,7 @@ from kellerpack import (
     TorusTiling,
     arc_system,
     elementary_aggregate,
+    enumerate_tilings,
     hat_measure,
     hats_disjoint,
     keller_pair,
@@ -167,6 +168,18 @@ class TestVerifyBoxCount:
         assert rep.measure_sum == 1
         assert rep.implied_size == 4
         assert rep.holds
+
+    @pytest.mark.parametrize(
+        "m, q, tilings, size",
+        [((2, 3), (6, 6), 10, 6), ((2, 2, 3), (1, 2, 6), 122, 12)],
+    )
+    def test_implied_size_on_mixed_sides(self, m, q, tilings, size):
+        # each axis's nontrivial partitions share one block count m_i
+        families = [to_box_family(t) for t in enumerate_tilings(TorusSpec(m, q))]
+        assert len(families) == tilings
+        for G in families:
+            rep = verify_box_count(G)
+            assert (rep.implied_size, rep.holds) == (size, True)
 
     def test_improper_box_rejected(self, sys222):
         G = BoxFamily(sys222, (Box(sys222, (None, None)),))
