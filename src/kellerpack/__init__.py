@@ -13,7 +13,6 @@ from .boxes import (
     c_stats,
     classify_partition,
     elementary_aggregate,
-    is_cylinder,
     is_keller_family,
     is_pile,
     keller_pair,

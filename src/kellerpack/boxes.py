@@ -25,8 +25,8 @@ Keller pairs are one AND on the system's block bits (block_bits): a
 box's keller_bits are (sel, clash), the bits of its blocks and those of
 the other blocks of their partitions, and K, L are a Keller pair iff
 K's clash & L's sel != 0.  keller_pair, the Keller verdict and
-keller_families take that AND; keller_factors, the rule as written, is
-the tests' oracle for it.
+keller_families take that AND; keller_factors in tests/oracles.py, the
+rule as written, is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -145,41 +145,11 @@ class PointSet:
     sizes: tuple[int, ...]
     bits: int
 
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return row_major_strides(self.sizes)
-
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
     def is_full(self) -> bool:
         return self.bits == (1 << prod(self.sizes)) - 1
-
-    def contains(self, point: Sequence[int]) -> bool:
-        idx = sum(x * s for x, s in zip(point, self.strides))
-        return bool(self.bits >> idx & 1)
-
-    def points(self) -> Iterable[tuple[int, ...]]:
-        for point in product(*(range(s) for s in self.sizes)):
-            if self.contains(point):
-                yield point
-
-
-def is_cylinder(P: PointSet, axis: int) -> bool:
-    """Point-scan test: every covered point's full axis line is covered.
-
-    This is the slow oracle; classify_partition uses a shadow comparison as
-    the fast path and the two are cross-checked in the test suite.
-    """
-    strides = row_major_strides(P.sizes)
-    line = sum(1 << v * strides[axis] for v in range(P.sizes[axis]))
-    # each axis line is `line` shifted by the index of its point with
-    # coordinate 0 on `axis`
-    offsets = product(*(
-        range(0, 1 if i == axis else s * st, st)
-        for i, (s, st) in enumerate(zip(P.sizes, strides))
-    ))
-    return all((P.bits >> sum(o) & line) in (0, line) for o in offsets)
 
 
 @dataclass(frozen=True)
@@ -289,20 +259,6 @@ def keller_pair(K: Box, L: Box) -> bool:
     if K.system != L.system:
         raise SystemMismatchError("boxes from different systems")
     return bool(K.keller_bits[1] & L.keller_bits[0])
-
-
-def keller_factors(a: Sequence[Factor], b: Sequence[Factor]) -> bool:
-    """Keller's condition as written, on two normalized factor tuples of
-    one system: the tests' oracle for keller_pair's block-bit AND."""
-    for f, g in zip(a, b):
-        if (
-            f is not None
-            and g is not None
-            and f.partition == g.partition
-            and f.block != g.block
-        ):
-            return True
-    return False
 
 
 def all_boxes(system: PartitionSystem) -> list[Box]:
@@ -420,8 +376,8 @@ def classify_partition(G: BoxFamily, axis: int, p: int) -> PartitionStatus:
     shadow mask on the remaining axes.  Hidden is read from the family's
     partition-status table; otherwise the partition is exposed if some
     box uses it and absent if none does.  The point-scan oracle, which
-    the tests check this against, is is_cylinder on the realized
-    restriction.
+    the tests check this against, is is_cylinder (tests/oracles.py) on
+    the realized restriction.
     """
     part = G.system.partition(axis, p)
     if part.is_trivial:
@@ -449,7 +405,7 @@ def c_stats(G: BoxFamily) -> CStats:
     The hidden sets are the family's partition-status table, the one
     classify_partition reads, and the result is cached on
     the family, as is its Keller verdict.  The tests check the hidden sets
-    against the is_cylinder point scan.
+    against the is_cylinder point scan in tests/oracles.py.
     """
     require_keller(G)
     return G._c_stats

@@ -34,8 +34,8 @@ shift[a][o_a][x_a] = ((x_a - o_a) mod n_a) * stride_a summed over the
 axes; a full start-by-start translation table would grow with the square
 of the cell count.  A tiling is translated once to each of its own
 starts, and every image the orbit walk needs is a table lookup
-(_origin_images).  translate, permute_axes and reflect remain as the
-object-level reference the tests check the tables against.
+(_origin_images).  The tests check the tables against the object-level
+translate, permute_axes and reflect of tests/oracles.py.
 
 A census folds one pass over the canonical tilings, the same for uniform
 and mixed sides: each tiling is checked against the bound Theorem B
@@ -85,41 +85,8 @@ def default_cell_budget() -> int:
 
 
 # --- symmetry action ----------------------------------------------------
-# translate, permute_axes and reflect build one TorusTiling per group
-# element; they are the reference the tables below are tested against.
-
-def translate(t: TorusTiling, v: Iterable[int]) -> TorusTiling:
-    sizes = t.spec.cell_sizes
-    v = tuple(v)
-    starts = tuple(
-        tuple((x + dx) % size for x, dx, size in zip(s, v, sizes))
-        for s in t.starts
-    )
-    return TorusTiling(t.spec, starts)
-
-
-def permute_axes(t: TorusTiling, sigma: tuple[int, ...]) -> TorusTiling:
-    # coordinate i of the image is coordinate sigma[i] of the source;
-    # only valid when (m, q) agree on every swapped pair
-    starts = tuple(tuple(s[sigma[i]] for i in range(len(sigma))) for s in t.starts)
-    return TorusTiling(t.spec, starts)
-
-
-def reflect(t: TorusTiling, axes: Iterable[int]) -> TorusTiling:
-    """Reflect the offset circle on the given axes: a cube over cells
-    [s, s+q) maps to one over [-s-q, -s)."""
-    axes = set(axes)
-    sizes = t.spec.cell_sizes
-    qs = t.spec.q
-    starts = tuple(
-        tuple(
-            (-x - qs[i]) % sizes[i] if i in axes else x
-            for i, x in enumerate(s)
-        )
-        for s in t.starts
-    )
-    return TorusTiling(t.spec, starts)
-
+# the tables below act on start indices; tests/oracles.py holds the
+# object-level translate, permute_axes and reflect they are tested against.
 
 def _axis_permutations(spec: TorusSpec) -> list[tuple[int, ...]]:
     keys = list(zip(spec.m, spec.q))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -103,17 +102,6 @@ def _union_size_counting(
     return u1, u2, u1 + u2 - cross
 
 
-def _union_materialized(
-    G: BoxFamily, coords: Sequence[tuple[int, int]]
-) -> set[tuple[int, ...]]:
-    """The union of G's hats over `coords`, point by point: the tests'
-    oracle for the counts of suits_equivalent."""
-    out: set[tuple[int, ...]] = set()
-    for K in G.boxes:
-        out.update(product(*_hat_over(K, coords)))
-    return out
-
-
 def suits_equivalent(G1: BoxFamily, G2: BoxFamily) -> bool:
     """Whether the hat images of two Keller families have equal unions.
 
@@ -121,7 +109,8 @@ def suits_equivalent(G1: BoxFamily, G2: BoxFamily) -> bool:
     comparison over the pinned coordinates alone is lossless.  The unions
     are equal iff |U1| = |U2| = |U1 union U2|.  Hats within a Keller family
     are disjoint, so each size is an exact sum of hat and pairwise meet
-    sizes and no point is materialized; _union_materialized is the oracle.
+    sizes and no point is materialized; _union_materialized in
+    tests/oracles.py is the oracle.
     """
     if G1.system != G2.system:
         raise SystemMismatchError("families from different systems")

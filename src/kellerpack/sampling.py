@@ -68,10 +68,6 @@ def _draw_factors(table: tuple, rng: random.Random) -> tuple:
     return tuple(factors), sel, clash
 
 
-def random_box(system: PartitionSystem, rng: random.Random) -> Box:
-    return Box(system, _draw_factors(_draw_table(system), rng)[0])
-
-
 def random_keller_family(system: PartitionSystem, rng: random.Random) -> BoxFamily:
     """Greedy sampler: over 60 draws, keep each box that forms a Keller
     pair with all kept so far, up to 6.  A draw ORs its blocks' bits into

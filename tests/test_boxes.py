@@ -25,7 +25,6 @@ from kellerpack import (
     classify_partition,
     elementary_aggregate,
     enumerate_tilings,
-    is_cylinder,
     is_keller_family,
     is_pile,
     keller_pair,
@@ -40,7 +39,7 @@ from kellerpack import (
     to_box_family,
     trivial_partition,
 )
-from kellerpack.boxes import all_boxes, keller_factors, keller_families
+from kellerpack.boxes import all_boxes, keller_families
 from kellerpack.errors import (
     CompletenessError,
     DuplicateBoxError,
@@ -56,6 +55,7 @@ from kellerpack.hats import hats_disjoint
 from kellerpack.multipiles import is_multipile
 from kellerpack.partitions import mask_of
 from kellerpack.sampling import random_keller_family, random_system
+from oracles import contains, is_cylinder, keller_factors, points
 
 
 def grid_tiling():
@@ -392,8 +392,8 @@ class TestIsCylinder:
             P = PointSet(sizes, rng.getrandbits(prod(sizes)))
             for axis in range(len(sizes)):
                 scan = all(
-                    P.contains(point[:axis] + (v,) + point[axis + 1:])
-                    for point in P.points()
+                    contains(P, point[:axis] + (v,) + point[axis + 1:])
+                    for point in points(P)
                     for v in range(sizes[axis])
                 )
                 assert is_cylinder(P, axis) == scan
@@ -763,7 +763,7 @@ def scan_line_partition(G, point, axis):
     blocks = {
         mask_of(K.factor_elems(axis))
         for K in G.boxes
-        if any(realize_box(K).contains(x) for x in line)
+        if any(contains(realize_box(K), x) for x in line)
     }
     return next(p for p in G.system.families[axis] if set(p.blocks) == blocks)
 

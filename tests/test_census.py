@@ -28,12 +28,10 @@ from kellerpack.census import (
     _tiling,
     _translated,
     check_budget,
-    permute_axes,
-    reflect,
-    translate,
 )
 from kellerpack.cli import main
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
+from oracles import permute_axes, reflect, translate
 
 # the package exports the census function under its module's name
 CENSUS_MODULE = importlib.import_module("kellerpack.census")

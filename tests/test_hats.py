@@ -10,7 +10,6 @@ from kellerpack import (
     BoxFamily,
     PartitionSystem,
     TorusSpec,
-    TorusTiling,
     arc_system,
     elementary_aggregate,
     enumerate_tilings,
@@ -30,26 +29,10 @@ from kellerpack.errors import (
     PreconditionError,
     SystemMismatchError,
 )
-from kellerpack.hats import _pinned_coordinates, _union_materialized, _union_size_counting
+from kellerpack.hats import _pinned_coordinates, _union_size_counting
 from kellerpack.boxes import all_boxes, keller_families
 from kellerpack.sampling import random_keller_family, random_system
-
-
-@pytest.fixture(scope="module")
-def sys222():
-    return arc_system(2, 2, 2)
-
-
-def laminated_family():
-    spec = TorusSpec((2, 2), (2, 2))
-    t = TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
-    return to_box_family(t)
-
-
-def grid_family():
-    spec = TorusSpec((2, 2), (2, 2))
-    t = TorusTiling(spec, ((0, 0), (0, 2), (2, 0), (2, 2)))
-    return to_box_family(t)
+from oracles import _union_materialized, grid_family, laminated_family, sys222
 
 
 class TestHatsDisjoint:

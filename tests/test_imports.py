@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports and imports
-nothing but the standard library and itself."""
+nothing but the standard library and itself; so do the tests' oracles,
+which may also import pytest."""
 
 import ast
 import sys
@@ -11,6 +12,7 @@ import kellerpack
 
 FILES = sorted(Path(kellerpack.__file__).parent.glob("*.py"))
 MODULES = [p for p in FILES if p.name != "__init__.py"]
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,7 @@ def test_finds_unused_imports():
     assert unused_imports(source) == ["c", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + [ORACLES], ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -58,3 +60,11 @@ def test_finds_absolute_imports():
 def test_module_imports_only_the_standard_library(path):
     imports = absolute_imports(path.read_text())
     assert [name for name in imports if name not in sys.stdlib_module_names] == []
+
+
+# the oracles import the package they check and pytest, its one test
+# dependency (pyproject.toml), for the fixtures they share
+def test_oracles_import_only_the_standard_library_the_package_and_pytest():
+    imports = absolute_imports(ORACLES.read_text())
+    extra = [name for name in imports if name not in sys.stdlib_module_names]
+    assert extra == ["kellerpack", "pytest"]

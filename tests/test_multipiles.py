@@ -13,8 +13,6 @@ from kellerpack import (
     Leaf,
     Node,
     PartitionStatus,
-    TorusSpec,
-    TorusTiling,
     arc_system,
     build_multipile,
     c_stats,
@@ -23,7 +21,6 @@ from kellerpack import (
     is_multipile,
     is_pile,
     realize,
-    to_box_family,
 )
 from kellerpack.acceptance import _census_families
 from kellerpack.boxes import keller_families
@@ -34,23 +31,7 @@ from kellerpack.errors import (
     NotKellerError,
 )
 from kellerpack.serialization import tree_from_obj, tree_to_obj
-
-
-@pytest.fixture(scope="module")
-def sys222():
-    return arc_system(2, 2, 2)
-
-
-def laminated_family():
-    spec = TorusSpec((2, 2), (2, 2))
-    t = TorusTiling(spec, ((0, 0), (0, 2), (2, 1), (2, 3)))
-    return to_box_family(t)
-
-
-def grid_family():
-    spec = TorusSpec((2, 2), (2, 2))
-    t = TorusTiling(spec, ((0, 0), (0, 2), (2, 0), (2, 2)))
-    return to_box_family(t)
+from oracles import grid_family, laminated_family, points, sys222
 
 
 class TestIsMultipile:
@@ -299,10 +280,10 @@ class TestBuildMultipile:
             P = realize(G)
             projections = []
             for axis in range(d):
-                proj = sorted({pt[axis] for pt in P.points()})
+                proj = sorted({pt[axis] for pt in points(P)})
                 projections.append(proj)
             expected = {pt for pt in product(*projections)}
-            assert set(P.points()) == expected
+            assert set(points(P)) == expected
 
 
 def _random_tree(sys_, rng, axes, depth):
