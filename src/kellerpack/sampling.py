@@ -1,9 +1,9 @@
 """Randomized generators for property sweeps, reproducible from a seeded
-random.Random.  Draws call only rng.random and rng.randrange: CPython's
-randint(a, b) and choice(s) make the same _randbelow calls as
-a + randrange(b - a + 1) and s[randrange(len(s))], so the stream is theirs.
-A box is drawn from a table of the system's block bits (block_bits), and
-Keller pairs are tested on them as boxes.py tests them."""
+random.Random.  Draws are rng.random() and rng.getrandbits in the step
+CPython's randrange(n) runs (_below), so the stream is still that of
+randint, choice and randrange; random_system's few sizes and counts call
+randrange.  A box is drawn from a table of the system's block bits
+(block_bits), and Keller pairs are tested on them as boxes.py tests them."""
 
 import random
 
@@ -11,14 +11,23 @@ from .boxes import Box, BoxFamily
 from .partitions import Partition, PartitionSystem, independent, trivial_partition
 
 
+def _below(getrandbits, n: int, k: int) -> int:
+    """randrange(n) for n >= 1: k = n.bit_length() bits, redrawn until below
+    n, as CPython 3.10-3.13 run it; n = 1 still draws until a 0 bit."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_partition(size: int, rng: random.Random) -> Partition:
     """Uniform-ish random nontrivial partition of 0..size-1."""
-    randrange = rng.randrange
+    getrandbits, k = rng.getrandbits, (size - 1).bit_length()
     while True:
-        n_blocks = 2 + randrange(size - 1)
-        masks = {}
+        n_blocks = 2 + _below(getrandbits, size - 1, k)
+        masks, kb = {}, n_blocks.bit_length()
         for e in range(size):
-            label = randrange(n_blocks)
+            label = _below(getrandbits, n_blocks, kb)
             masks[label] = masks.get(label, 0) | 1 << e
         # Labels are met in element order, so these disjoint covering masks
         # come sorted by lowest element: make_partition's result.
@@ -47,38 +56,51 @@ def random_system(rng: random.Random) -> PartitionSystem:
 
 
 def _draw_table(system: PartitionSystem) -> tuple:
-    """Per axis, per nontrivial partition, per block: (factor, bit, clash),
-    the system's block numbering without its trivial partitions."""
-    return tuple(tuple(filter(None, parts)) for parts in system.block_bits)
+    """Per axis (n, k, parts) over its nontrivial partitions, and per
+    partition (n, k, blocks) over its (factor, bit, clash) entries: the
+    system's block numbering, each length n beside its bit_length k."""
+    def sized(items: tuple) -> tuple:
+        return len(items), len(items).bit_length(), items
+
+    return tuple(
+        sized(tuple(sized(blocks) for blocks in parts if blocks))
+        for parts in system.block_bits
+    )
 
 
-def _draw_factors(table: tuple, rng: random.Random) -> tuple:
-    """A random box's factors, sel and clash: per axis the full axis (p=0.15,
-    or if none is nontrivial), else a uniform block of a uniform partition."""
-    random, randrange = rng.random, rng.randrange
-    factors, sel, clash = [], 0, 0
-    for parts in table:
+def _draw_factors(table: tuple, random, getrandbits) -> tuple:
+    """A random box's picked factors (a list), sel and clash: per axis the
+    full axis (p=0.15, or if none is nontrivial), else a uniform block of
+    a uniform partition."""
+    picks, sel, clash = [], 0, 0
+    for n, k, parts in table:
         f = None
-        if parts and random() >= 0.15:
-            blocks = parts[randrange(len(parts))]
-            f, bit, others = blocks[randrange(len(blocks))]
+        if n and random() >= 0.15:
+            n, k, blocks = parts[_below(getrandbits, n, k)]
+            f, bit, others = blocks[_below(getrandbits, n, k)]
             sel |= bit
             clash |= others
-        factors.append(f)
-    return tuple(factors), sel, clash
+        picks.append(f)
+    return picks, sel, clash
 
 
 def random_keller_family(system: PartitionSystem, rng: random.Random) -> BoxFamily:
     """Greedy sampler: over 60 draws, keep each box that forms a Keller
     pair with all kept so far, up to 6.  A draw ORs its blocks' bits into
     sel and their partitions' other blocks' bits into clash, and pairs with
-    a kept box iff its clash meets that box's sel; a repeat never does."""
+    a kept box iff its clash meets that box's sel; a repeat never does.
+    Only a kept draw becomes a Box.  The draws are rng.random() and
+    getrandbits in randrange's step, so the stream is randrange's."""
     table, boxes, sels = _draw_table(system), [], []
+    random, getrandbits = rng.random, rng.getrandbits
     for _ in range(60):
         if len(sels) >= 6:
             break
-        factors, sel, clash = _draw_factors(table, rng)
-        if all(clash & other for other in sels):
-            boxes.append(Box(system, factors))
+        picks, sel, clash = _draw_factors(table, random, getrandbits)
+        for other in sels:
+            if not clash & other:
+                break
+        else:
+            boxes.append(Box(system, tuple(picks)))
             sels.append(sel)
     return BoxFamily(system, tuple(boxes))

@@ -18,6 +18,7 @@ from kellerpack import (
 from kellerpack.boxes import all_boxes
 from kellerpack.partitions import PartitionSystem, independent
 from kellerpack.sampling import (
+    _below,
     _draw_factors,
     _draw_table,
     random_keller_family,
@@ -106,9 +107,22 @@ def test_random_box_matches_object_draw(seed):
     rng, ref = random.Random(seed), random.Random(seed)
     for _ in range(100):
         system = ref_random_system(systems)
+        table = _draw_table(system)
         for _ in range(5):
-            K = Box(system, _draw_factors(_draw_table(system), rng)[0])
-            assert K == ref_random_box(system, ref)
+            picks = _draw_factors(table, rng.random, rng.getrandbits)[0]
+            assert Box(system, tuple(picks)) == ref_random_box(system, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_below_is_randrange(seed):
+    """_below is randrange(n)'s step for every n the sampler meets and
+    more, n = 1 included: a Python whose randrange draws differently fails
+    here by name, not only in the digest below."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 71):
+        for _ in range(20):
+            assert _below(rng.getrandbits, n, n.bit_length()) == ref.randrange(n)
         assert rng.getstate() == ref.getstate()
 
 
@@ -129,8 +143,8 @@ def test_mask_test_is_keller_factors(seed):
     for _ in range(100):
         table = _draw_table(ref_random_system(systems))
         for _ in range(10):
-            fa, sel_a, clash_a = _draw_factors(table, rng)
-            fb, sel_b, clash_b = _draw_factors(table, rng)
+            fa, sel_a, clash_a = _draw_factors(table, rng.random, rng.getrandbits)
+            fb, sel_b, clash_b = _draw_factors(table, rng.random, rng.getrandbits)
             verdict = keller_factors(fa, fb)
             assert bool(clash_a & sel_b) == verdict
             assert bool(clash_b & sel_a) == keller_factors(fb, fa) == verdict
@@ -188,15 +202,17 @@ def test_rare_systems_match_object_sampler(name, seed):
     for _ in range(50):
         G = random_keller_family(system, rng)
         assert G == ref_random_keller_family(system, ref)
-        K = Box(system, _draw_factors(_draw_table(system), rng)[0])
-        assert K == ref_random_box(system, ref)
+        picks = _draw_factors(_draw_table(system), rng.random, rng.getrandbits)[0]
+        assert Box(system, tuple(picks)) == ref_random_box(system, ref)
         assert rng.getstate() == ref.getstate()
 
 
 def test_criterion_4_random_tail_digest():
-    """criterion 4's 1,000 seeded families, pinned by content: the parity
-    tests compare two samplers on one RNG, so a Python whose randrange
-    draws differently would pass them and fail here."""
+    """criterion 4's 1,000 seeded families, pinned by content.  The sampler
+    draws random() and getrandbits in randrange's step, so its stream is
+    randint/choice/randrange's; the parity tests compare it with a sampler
+    that calls those, so a Python whose randrange draws differently would
+    pass them (though not test_below_is_randrange) and fail here."""
     rng = random.Random(0)
     families = [random_keller_family(random_system(rng), rng) for _ in range(1000)]
     blob = json.dumps([family_to_obj(G) for G in families], sort_keys=True)
@@ -212,13 +228,17 @@ def test_draw_table_reads_the_system_numbering(seed):
     for _ in range(50):
         system = random_system(rng)
         table = _draw_table(system)
-        for axis, parts in enumerate(table):
-            assert [blocks[0][0].partition for blocks in parts] == list(
-                system.nontrivial_indices(axis)
+        for axis, (n, k, parts) in enumerate(table):
+            nontrivial = system.nontrivial_indices(axis)
+            assert n == len(parts) == len(nontrivial) and k == n.bit_length()
+            assert [blocks[0][0].partition for _, _, blocks in parts] == list(
+                nontrivial
             )
-            for blocks in parts:
+            for n, k, blocks in parts:
                 p = blocks[0][0].partition
                 assert blocks == system.block_bits[axis][p]
+                assert n == len(system.block_bits[axis][p]) and k == n.bit_length()
+                assert n == system.partition(axis, p).n_blocks
                 assert [f for f, _, _ in blocks] == [
-                    BlockRef(p, b) for b in range(len(blocks))
+                    BlockRef(p, b) for b in range(n)
                 ]
