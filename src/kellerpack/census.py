@@ -42,7 +42,11 @@ and mixed sides: each tiling is checked against the bound Theorem B
 gives it on any sides, sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with
 equality iff T is a multipile, and p(T) and the multipile verdict are
 counted against the lamination value of the descending side ordering,
-which for equal sides is the proved bound (n^d - 1)/(n - 1).
+which for equal sides is the proved bound (n^d - 1)/(n - 1).  The
+tilings of a spec share their starts' boxes, and so their sub-families:
+one recognizer memo per census, keyed by a sub-family's start indices,
+decides each sub-family once for every tiling that holds it, while
+every tiling still goes through the whole check.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from typing import Iterable, Iterator, Optional
 
 from .boxes import row_major_strides
 from .errors import BudgetExceededError
-from .multipiles import extremal_p_value
+from .multipiles import MultipileTree, extremal_p_value
 from .torus import (
     TorusSpec,
     TorusTiling,
@@ -444,6 +448,12 @@ def census_from_tilings(
     ordering, which for equal sides n is the proved (n^d - 1)/(n - 1) and
     for mixed sides only conjectural: the observed maximum is reported
     against it, with the multipile verdict of every attaining tiling.
+
+    The multipile recognizer's memo lives for the call and is shared by
+    every tiling: it maps a set of starts, as the OR of 1 << i over their
+    row-major indices i, to the witness tree of their boxes, or to None.
+    Start indices name starts of `spec` alone, so a tiling of another
+    spec raises ValueError.
     """
     bound = extremal_p_value(
         spec.m, sorted(range(spec.dimension), key=lambda i: -spec.m[i])
@@ -452,8 +462,11 @@ def census_from_tilings(
     equality_count = 0
     multipile_count = 0
     attaining: list[bool] = []
+    trees: dict[int, Optional[MultipileTree]] = {}
     for t in tilings:
-        params, _, mp = require_bound(t, t.starts)
+        if t.spec != spec:
+            raise ValueError(f"tiling {t.starts} is of {t.spec}, not of {spec}")
+        params, _, mp = require_bound(t, t.starts, trees)
         p_total = params.total
         hist[p_total] = hist.get(p_total, 0) + 1
         if p_total == bound:

@@ -12,16 +12,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import mul
 from typing import Optional, Sequence
 
-from .boxes import BlockRef, Box, BoxFamily, CStats, extend_mask
+from .boxes import BlockRef, Box, BoxFamily, CStats, extend_mask, row_major_strides
 from .errors import (
     InvalidTilingError,
     NonUniformTorusError,
     RecipeError,
     TheoremViolationError,
 )
-from .multipiles import extremal_p_value, require_theorem_b
+from .multipiles import SharedMemo, extremal_p_value, require_theorem_b
 from .partitions import PartitionSystem, arc_system_mixed, lazy
 
 
@@ -152,7 +153,10 @@ def _p_params(t: TorusTiling) -> PParams:
 @lru_cache(maxsize=16)
 def tiling_system(spec: TorusSpec) -> PartitionSystem:
     """The discretized unit-segment system bridging tilings to box
-    families, built once per spec."""
+    families, built once per spec.  Building one drops the cached start
+    Boxes: a spec this cache evicted and now builds again would otherwise
+    get a new system beside Boxes of its old one."""
+    _start_box.cache_clear()
     return arc_system_mixed(spec.m, spec.q)
 
 
@@ -187,7 +191,9 @@ def _start_box(spec: TorusSpec, start: tuple[int, ...]) -> Box:
     ))
 
 
-def require_bound(t: TorusTiling, name) -> tuple[PParams, CStats, bool]:
+def require_bound(
+    t: TorusTiling, name, trees: Optional[dict] = None
+) -> tuple[PParams, CStats, bool]:
     """p(T), the c statistics of T's box family G and G's multipile
     verdict, after checking the bound that Theorem B gives T, on any sides.
 
@@ -199,10 +205,19 @@ def require_bound(t: TorusTiling, name) -> tuple[PParams, CStats, bool]:
     and for equal sides n this is Theorem C, p(T) <= (n^d - 1)/(n - 1).
     A violation raises TheoremViolationError naming `name`.  T is
     validated once, as p_params would validate it.
+
+    `trees` is a census's recognizer memo over the tilings of T's spec:
+    it maps a set of starts, as the OR of 1 << i over their row-major
+    indices i, to the witness tree of their boxes, or to None.  G's boxes
+    follow T's sorted starts, so a SharedMemo over it is sound.
     """
     require_valid(t)
     params = _p_params(t)
-    stats, multipile = require_theorem_b(_box_family(t), name)
+    memo = None
+    if trees is not None:
+        strides = row_major_strides(t.spec.cell_sizes)
+        memo = SharedMemo(trees, [1 << sum(map(mul, s, strides)) for s in t.starts])
+    stats, multipile = require_theorem_b(_box_family(t), name, memo)
     weighted = tuple((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
     if stats.c_per_axis != weighted:
         raise TheoremViolationError(

@@ -13,6 +13,7 @@ from kellerpack import (
     census,
     enumerate_all_tilings,
     enumerate_tilings,
+    is_multipile,
     orbit,
     p_params,
     validate_tiling,
@@ -28,13 +29,19 @@ from kellerpack.census import (
     _tiling,
     _translated,
     check_budget,
+    census_from_tilings,
 )
 from kellerpack.cli import main
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
+from kellerpack.multipiles import SharedMemo, require_theorem_b
+from kellerpack.partitions import elems_of
+from kellerpack.serialization import tree_to_obj
+from kellerpack.torus import require_bound, to_box_family
 from oracles import permute_axes, reflect, translate
 
 # the package exports the census function under its module's name
 CENSUS_MODULE = importlib.import_module("kellerpack.census")
+MULTIPILES_MODULE = importlib.import_module("kellerpack.multipiles")
 
 
 class TestEnumerate:
@@ -691,3 +698,99 @@ class TestUncheckedBuilder:
             assert type(t.starts) is tuple and len(t.starts) == 2
             assert all(type(s) is tuple and len(s) == 1 for s in t.starts)
             assert t == TorusTiling(spec, [cells[i] for i in indices])
+
+
+# the tilings census_from_tilings folds: every raw tiling of the search
+# grids, and the canonical or raw tilings of the CI census steps
+MEMO_GRIDS = [(m, q, frozenset()) for m, q, _ in ORDER_GRIDS] + [
+    ((2, 2, 2), (4, 4, 4), ALL_SYMMETRIES),
+    ((2, 2, 2), (2, 2, 4), frozenset()),
+    ((2, 3), (6, 6), ALL_SYMMETRIES),
+    ((2, 2, 3), (1, 2, 6), ALL_SYMMETRIES),
+    ((3, 3), (9, 9), ALL_SYMMETRIES),
+]
+
+
+class TestCensusMemo:
+    """census_from_tilings decides each sub-family once per call: one
+    recognizer memo, keyed by the sub-family's start indices, serves
+    every tiling it folds."""
+
+    @pytest.mark.parametrize("m,q,symmetry", MEMO_GRIDS)
+    def test_trees_match_a_fresh_recognizer(self, m, q, symmetry):
+        # each tiling's family over the memo the census shares, then a
+        # fresh recognizer on a family of its own
+        spec = TorusSpec(m, q)
+        index = {s: i for i, s in enumerate(_tables(spec)[0])}
+        trees: dict = {}
+        for t in enumerate_tilings(spec, symmetry):
+            G = to_box_family(t)
+            memo = SharedMemo(trees, [1 << index[s] for s in t.starts])
+            _, verdict = require_theorem_b(G, t.starts, memo)
+            tree = memo[(1 << len(G)) - 1]
+            fresh = is_multipile(to_box_family(t))
+            assert verdict == fresh.verdict == (tree is not None)
+            if tree is not None:
+                assert tree_to_obj(tree) == tree_to_obj(fresh.tree)
+
+    def test_require_bound_keys_the_memo_by_start_index(self):
+        # the census's path fills the memo the test above checks, with
+        # every proper sub-family it decides and no whole tiling
+        spec = TorusSpec((2, 2, 3), (1, 2, 6))
+        index = {s: i for i, s in enumerate(_tables(spec)[0])}
+        by_bound: dict = {}
+        by_index: dict = {}
+        for t in enumerate_tilings(spec):
+            require_bound(t, t.starts, by_bound)
+            memo = SharedMemo(by_index, [1 << index[s] for s in t.starts])
+            require_theorem_b(to_box_family(t), t.starts, memo)
+        assert by_bound == by_index
+        sizes = {key.bit_count() for key in by_bound}
+        assert sizes and max(sizes) < spec.n_cubes
+
+    def test_each_start_set_is_decided_once(self, monkeypatch):
+        # the box sets whose tree the recognizer builds rather than reads
+        spec = TorusSpec((2, 2, 2), (2, 2, 2))
+        tilings = enumerate_tilings(spec)
+        decided = []
+        multipile = MULTIPILES_MODULE._multipile
+
+        def spying(G, memo, mask):
+            if mask not in memo:
+                decided.append(frozenset(G.boxes[i] for i in elems_of(mask)))
+            return multipile(G, memo, mask)
+
+        monkeypatch.setattr(MULTIPILES_MODULE, "_multipile", spying)
+        for t in tilings:
+            require_bound(t, t.starts)
+        plain = decided[:]
+        decided.clear()
+        row = census_from_tilings(spec, ALL_SYMMETRIES, tilings)
+        assert row.tilings_total == len(tilings) == 9
+        assert (len(plain), len(set(plain))) == (122, 55)
+        assert len(decided) == 55 and set(decided) == set(plain)
+
+    @pytest.mark.parametrize(
+        "other", [TorusSpec((3, 3), (3, 3)), TorusSpec((2, 2), (4, 4))]
+    )
+    def test_a_tiling_of_another_spec_is_refused(self, other):
+        # its start indices would name other starts in the shared memo
+        spec = TorusSpec((2, 2), (2, 2))
+        tilings = enumerate_tilings(spec) + enumerate_tilings(other)
+        with pytest.raises(ValueError, match="not of"):
+            census_from_tilings(spec, ALL_SYMMETRIES, tilings)
+        with pytest.raises(ValueError, match="not of"):
+            census_from_tilings(spec, ALL_SYMMETRIES, enumerate_tilings(other))
+
+    def test_census_frees_its_memo_without_the_collector(self):
+        # a reference cycle would keep the memo until a full collection
+        spec = TorusSpec((2, 2, 2), (2, 2, 4))
+        tilings = enumerate_all_tilings(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            row = census_from_tilings(spec, frozenset(), tilings)
+            assert (row.tilings_total, row.multipile_count) == (6096, 192)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -344,11 +344,13 @@ class TestCensusCommand:
 
     def test_failed_bound_exits_4(self, monkeypatch, capsys):
         # the laminated tiling attains the bound, so a recognizer that
-        # rejects it contradicts the equality case; the grid does not
+        # rejects it contradicts the equality case; the grid does not.
+        # The census decides over its shared memo, not through
+        # is_multipile, so the recursion itself rejects every mask
         monkeypatch.setattr(
             importlib.import_module("kellerpack.multipiles"),
-            "is_multipile",
-            lambda G: MultipileResult(False),
+            "_multipile",
+            lambda G, memo, mask: None,
         )
         code = main(["census", "--m", "2,2", "--q", "2,2"])
         captured = capsys.readouterr()
