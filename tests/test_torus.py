@@ -289,6 +289,14 @@ class TestBridge:
         assert GRID.starts[:2] == LAMINATED.starts[:2] == ((0, 0), (0, 2))
         assert G.boxes[0] is H.boxes[0] and G.boxes[1] is H.boxes[1]
 
+    def test_a_rebuilt_system_gets_boxes_of_its_own(self):
+        # as when the 16-spec cache evicts a spec and builds it again
+        G = to_box_family(GRID)
+        tiling_system.cache_clear()
+        H = to_box_family(GRID)
+        assert H.system is not G.system and H.system == G.system
+        assert all(K.system is H.system for K in H.boxes)
+
     def test_census_shadows_each_start_box_once(self, monkeypatch):
         # 744 raw tilings of 8 boxes on 3 axes, but only 64 starts
         spec = TorusSpec((2, 2, 2), (2, 2, 2))
