@@ -7,10 +7,12 @@ the dense cell enumeration of X, which is fine at desk scale, and so are
 shadows: a box's projection onto the axes other than one is a row-major
 bit mask over their cells, the Kronecker product of its factors' block
 masks.  Each box computes its shadows once, as its row: per axis, its
-factor and shadow there.  Each BoxFamily computes its Keller verdict
-once and transposes its boxes' rows.  BoxFamily._status(mask) is the
-one partition-status table, of the family (the full mask) or of any
-subfamily (a bit mask over its boxes): per axis, the frozenset of
+factor and shadow there.  Each BoxFamily transposes its boxes' rows
+once, and reads its Keller verdict and c statistics at any bit mask
+over its boxes (_keller, _stats), the full mask's once (_is_keller,
+_c_stats).  BoxFamily._status(mask) is the one partition-status table,
+of the family (the full mask) or of any subfamily (a bit mask over its
+boxes): per axis, the frozenset of
 partitions the boxes hide, i.e. whose blocks all cast one and the same
 shadow.  It is built from the rows once per mask and kept on the family.
 c_stats and classify_partition read the full mask's table, and
@@ -185,15 +187,26 @@ class BoxFamily:
     # hash and repr ignore them.
     @lazy
     def _is_keller(self) -> bool:
+        return self._keller((1 << len(self.boxes)) - 1)
+
+    def _keller(self, mask: int) -> bool:
+        """Whether the boxes at bit mask `mask` are pairwise Keller pairs."""
         # every box is of self.system, as __post_init__ checked, so all
         # share one block numbering
+        boxes = self.boxes
         sels: list[int] = []
-        for K in self.boxes:
-            sel, clash = K.keller_bits
+        for i in self._members(mask):
+            sel, clash = boxes[i].keller_bits
             if not all(map(clash.__and__, sels)):
                 return False
             sels.append(sel)
         return True
+
+    def _members(self, mask: int) -> Sequence[int]:
+        """The positions of the boxes at bit mask `mask`, ascending.  The
+        full mask, a family checked on its own, skips the walk over bits."""
+        n = len(self.boxes)
+        return range(n) if mask == (1 << n) - 1 else elems_of(mask)
 
     @lazy
     def _rows(self) -> tuple[tuple[Optional[tuple[BlockRef, int]], ...], ...]:
@@ -215,7 +228,7 @@ class BoxFamily:
         table = self._tables.get(mask)
         if table is not None:
             return table
-        members = elems_of(mask)
+        members = self._members(mask)
         hidden = []
         for parts, rows in zip(self.system.families, self._rows):
             shadows: dict[int, list[int]] = {}
@@ -236,16 +249,22 @@ class BoxFamily:
         block of p if each carries a block of p on `axis` and they hide p
         there, else None.  No block of a pile is empty."""
         subs = [0] * self.system.families[axis][p].n_blocks
-        for i, row in enumerate(self._rows[axis]):
-            if mask >> i & 1:
-                if row is None or row[0].partition != p:
-                    return None
-                subs[row[0].block] |= 1 << i
+        rows = self._rows[axis]
+        for i in self._members(mask):
+            row = rows[i]
+            if row is None or row[0].partition != p:
+                return None
+            subs[row[0].block] |= 1 << i
         return subs if p in self._status(mask)[axis] else None
 
     @lazy
     def _c_stats(self) -> "CStats":
-        hidden = self._status((1 << len(self.boxes)) - 1)
+        return self._stats((1 << len(self.boxes)) - 1)
+
+    def _stats(self, mask: int) -> "CStats":
+        """The c statistics of the boxes at bit mask `mask`, read from
+        their partition-status table."""
+        hidden = self._status(mask)
         c_per_axis = tuple(
             sum(self.system.partition(axis, p).n_blocks - 1 for p in hid)
             for axis, hid in enumerate(hidden)

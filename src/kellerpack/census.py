@@ -44,9 +44,9 @@ equality iff T is a multipile, and p(T) and the multipile verdict are
 counted against the lamination value of the descending side ordering,
 which for equal sides is the proved bound (n^d - 1)/(n - 1).  The
 tilings of a spec share their starts' boxes, and so their sub-families:
-one recognizer memo per census, keyed by a sub-family's start indices,
-decides each sub-family once for every tiling that holds it, while
-every tiling still goes through the whole check.
+each is checked as a bit mask over one family of those boxes, whose
+recognizer memo and status tables decide each sub-family once for the
+census, while every tiling still goes through the whole check.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ from .multipiles import MultipileTree, extremal_p_value
 from .torus import (
     TorusSpec,
     TorusTiling,
+    _box_family,
+    _require_bound,
     cube_mask,
-    require_bound,
     require_valid,
 )
 
@@ -439,34 +440,45 @@ def census_from_tilings(
     """Fold p(T) and the multipile verdict over a list of canonical
     tilings of `spec`, one per orbit under `symmetry`.
 
-    Every tiling is checked by torus.require_bound, on any sides: Theorem B
-    on its box family G and the bridge c_i(G) = (m_i - 1)|p_i(T)|, which
-    together give the weighted bound sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1,
-    with equality iff T is a multipile; a violation raises
-    TheoremViolationError naming the tiling's starts.
+    Every tiling is checked as torus.require_bound checks it, on any
+    sides: Theorem B on its box family G and the bridge
+    c_i(G) = (m_i - 1)|p_i(T)|, which together give the weighted bound
+    sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1, with equality iff T is a
+    multipile; a violation raises TheoremViolationError naming the
+    tiling's starts.
     The row's bound is the lamination value for the descending side
     ordering, which for equal sides n is the proved (n^d - 1)/(n - 1) and
     for mixed sides only conjectural: the observed maximum is reported
     against it, with the multipile verdict of every attaining tiling.
 
-    The multipile recognizer's memo lives for the call and is shared by
-    every tiling: it maps a set of starts, as the OR of 1 << i over their
-    row-major indices i, to the witness tree of their boxes, or to None.
-    Start indices name starts of `spec` alone, so a tiling of another
-    spec raises ValueError.
+    Each tiling is checked as a bit mask over one family of the Boxes of
+    every start the tilings use, sorted by start, so a sub-family's first
+    box is its least start in every tiling that holds it, and its tree is
+    the one a fresh recognizer builds.  The recognizer's memo and the
+    status tables, keyed by mask, serve every tiling and live for the
+    call; a whole tiling's entries are dropped once it is checked, as no
+    other tiling holds it.  A tiling of another spec raises ValueError.
     """
     bound = extremal_p_value(
         spec.m, sorted(range(spec.dimension), key=lambda i: -spec.m[i])
     )
+    for t in tilings:
+        if t.spec != spec:
+            raise ValueError(f"tiling {t.starts} is of {t.spec}, not of {spec}")
+    starts = sorted({s for t in tilings for s in t.starts})
+    position = {s: 1 << i for i, s in enumerate(starts)}
+    family = _box_family(spec, starts)
+    memo: dict[int, Optional[MultipileTree]] = {}
     hist: dict[int, int] = {}
     equality_count = 0
     multipile_count = 0
     attaining: list[bool] = []
-    trees: dict[int, Optional[MultipileTree]] = {}
     for t in tilings:
-        if t.spec != spec:
-            raise ValueError(f"tiling {t.starts} is of {t.spec}, not of {spec}")
-        params, _, mp = require_bound(t, t.starts, trees)
+        require_valid(t)
+        mask = sum(map(position.__getitem__, t.starts))
+        params, _, mp = _require_bound(t, t.starts, family, mask, memo)
+        memo.pop(mask, None)
+        family._tables.pop(mask, None)
         p_total = params.total
         hist[p_total] = hist.get(p_total, 0) + 1
         if p_total == bound:

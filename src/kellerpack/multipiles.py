@@ -12,11 +12,12 @@ each mask to its witness tree, or to None, and is_multipile wraps the
 root's in its one MultipileResult.  The recognizer has no separate
 refusal: its root step, the pile tests on the full mask, is it.
 
-is_multipile's memo is a plain dict that lives for one call.  A census
-decides many families that share sub-families, so it passes
-require_theorem_b a SharedMemo instead: a family's memo that reads and
-fills one dict of the census, keyed by the sub-family's boxes, not by
-their positions in the family.  The recursion is the same for both.
+is_multipile and require_theorem_b each give the recognizer a dict that
+lives for one call.  A census checks each of its tilings as a mask over
+one family of all their boxes, through require_theorem_b's own check,
+_theorem_b, over one memo for the census.  The memo and the status
+tables are both keyed by mask, so a sub-family that several tilings
+hold is decided, and its table built, once.
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ from .boxes import (
     Box,
     BoxFamily,
     CStats,
-    c_stats,
     require_keller,
 )
-from .errors import DisjointnessError, IllFormedTreeError, TheoremViolationError
+from .errors import (
+    DisjointnessError,
+    IllFormedTreeError,
+    NotKellerError,
+    TheoremViolationError,
+)
 from .partitions import PartitionSystem
 
 
@@ -73,22 +78,25 @@ def is_multipile(G: BoxFamily) -> MultipileResult:
     return MultipileResult(tree is not None, tree)
 
 
-def require_theorem_b(
-    G: BoxFamily, name, memo: Optional[SharedMemo] = None
-) -> tuple[CStats, bool]:
+def require_theorem_b(G: BoxFamily, name) -> tuple[CStats, bool]:
     """c_stats(G) and G's multipile verdict, after checking Theorem B on
     G: c(G) <= |G| - 1, with equality iff G is a multipile.  A violation
     raises TheoremViolationError naming `name`.  This is the library's one
-    check of the theorem; theorem_b_report is the non-raising report.
-    c_stats raises NotKellerError for a family that is not Keller.  The
-    verdict is is_multipile's, or, given `memo`, the recognizer's over
-    that SharedMemo of G."""
-    stats = c_stats(G)
-    if memo is None:
-        multipile = is_multipile(G).verdict
-    else:
-        multipile = _multipile(G, memo, (1 << len(G)) - 1) is not None
-    bound = len(G) - 1
+    check of the theorem; theorem_b_report is the non-raising report.  A
+    family that is not Keller raises NotKellerError, an empty one
+    EmptyFamilyError."""
+    G.require_nonempty()
+    return _theorem_b(G, (1 << len(G)) - 1, {}, name)
+
+
+def _theorem_b(G: BoxFamily, mask: int, memo: dict, name) -> tuple[CStats, bool]:
+    """require_theorem_b on the nonempty subfamily of G at bit mask `mask`,
+    whose recognizer reads and fills `memo`."""
+    if not G._keller(mask):
+        raise NotKellerError("family violates Keller's condition")
+    stats = G._stats(mask)
+    multipile = _multipile(G, memo, mask) is not None
+    bound = mask.bit_count() - 1
     if stats.c_total > bound:
         raise TheoremViolationError(
             f"c(G) = {stats.c_total} exceeds |G| - 1 = {bound} on {name}"
@@ -111,52 +119,6 @@ def _multipile(G: BoxFamily, memo: dict, mask: int) -> Optional[MultipileTree]:
                 found = _node(G, memo, mask, axis, f.partition)
         memo[mask] = found
     return memo[mask]
-
-
-class SharedMemo(dict):
-    """The recognizer's memo for one family G, backed by `trees`, a dict
-    that families sharing one numbering of their boxes share: box i of G
-    has the number whose bit is keys[i], and the sub-family at a mask is
-    keyed there by the OR of its boxes' bits.
-
-    The recursion reads and fills it as its plain memo: a mask that
-    misses here is looked up in `trees` and copied in, and each tree
-    decided is stored in both.  This is sound when the boxes of every
-    family follow their numbers in ascending order: a sub-family's first
-    box is then its least-numbered one in every family that holds it, so
-    its tree is the one a fresh recognizer would build.  The whole
-    family's tree stays out of `trees`: the families of a census are
-    distinct and equally large, so none holds another whole."""
-
-    __slots__ = ("trees", "keys", "full")
-
-    def __init__(self, trees: dict, keys: Sequence[int]) -> None:
-        self.trees = trees
-        self.keys = keys
-        self.full = (1 << len(keys)) - 1
-
-    def _key(self, mask: int) -> int:
-        keys = self.keys
-        key = 0
-        while mask:
-            low = mask & -mask
-            key |= keys[low.bit_length() - 1]
-            mask ^= low
-        return key
-
-    def __contains__(self, mask) -> bool:
-        if dict.__contains__(self, mask):
-            return True
-        key = self._key(mask)
-        if key not in self.trees:
-            return False
-        dict.__setitem__(self, mask, self.trees[key])
-        return True
-
-    def __setitem__(self, mask, tree) -> None:
-        dict.__setitem__(self, mask, tree)
-        if mask != self.full:
-            self.trees[self._key(mask)] = tree
 
 
 def _node(G: BoxFamily, memo: dict, mask: int, axis: int, p: int) -> Optional[Node]:

@@ -12,17 +12,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from operator import mul
 from typing import Optional, Sequence
 
-from .boxes import BlockRef, Box, BoxFamily, CStats, extend_mask, row_major_strides
+from .boxes import BlockRef, Box, BoxFamily, CStats, extend_mask
 from .errors import (
     InvalidTilingError,
     NonUniformTorusError,
     RecipeError,
     TheoremViolationError,
 )
-from .multipiles import SharedMemo, extremal_p_value, require_theorem_b
+from .multipiles import _theorem_b, extremal_p_value
 from .partitions import PartitionSystem, arc_system_mixed, lazy
 
 
@@ -151,13 +150,16 @@ def _p_params(t: TorusTiling) -> PParams:
 
 
 @lru_cache(maxsize=16)
+def _bridge(spec: TorusSpec) -> tuple[PartitionSystem, dict[tuple[int, ...], Box]]:
+    """The system of `spec`'s box families and the Boxes of its starts
+    built so far, by start: one entry holds both, so a spec this cache
+    evicted and builds again gets a new system with Boxes of its own."""
+    return arc_system_mixed(spec.m, spec.q), {}
+
+
 def tiling_system(spec: TorusSpec) -> PartitionSystem:
-    """The discretized unit-segment system bridging tilings to box
-    families, built once per spec.  Building one drops the cached start
-    Boxes: a spec this cache evicted and now builds again would otherwise
-    get a new system beside Boxes of its old one."""
-    _start_box.cache_clear()
-    return arc_system_mixed(spec.m, spec.q)
+    """The system of `spec`'s box families, built once per spec."""
+    return _bridge(spec)[0]
 
 
 def to_box_family(t: TorusTiling) -> BoxFamily:
@@ -169,55 +171,56 @@ def to_box_family(t: TorusTiling) -> BoxFamily:
     valid tiling always maps to a Keller family.
     """
     require_valid(t)
-    return _box_family(t)
+    return _box_family(t.spec, t.starts)
 
 
-def _box_family(t: TorusTiling) -> BoxFamily:
-    """to_box_family of a tiling already validated."""
-    spec = t.spec
-    return BoxFamily(tiling_system(spec), tuple(_start_box(spec, s) for s in t.starts))
+def _box_family(spec: TorusSpec, starts: Sequence[tuple[int, ...]]) -> BoxFamily:
+    """The family of the Boxes of `starts`, distinct starts of `spec`, in
+    their order."""
+    return BoxFamily(tiling_system(spec), tuple(_start_box(spec, s) for s in starts))
 
 
-@lru_cache(maxsize=16_384)
 def _start_box(spec: TorusSpec, start: tuple[int, ...]) -> Box:
     """The Box of the cube at `start`: on each axis, the block of partition
-    v mod q that holds the start's coordinate v.  The cache holds 16 specs
-    of 1,024 cells, so that the tilings of a spec share their starts'
-    Boxes, and with them the Boxes' shadow rows."""
-    system = tiling_system(spec)
-    return Box(system, tuple(
-        BlockRef(v % q, system.partition(axis, v % q).block_containing(v))
-        for axis, (v, q) in enumerate(zip(start, spec.q))
-    ))
+    v mod q that holds the start's coordinate v.  It is built once per
+    start and kept with the spec's system, so that the tilings of a spec
+    share their starts' Boxes, and with them the Boxes' shadow rows."""
+    system, boxes = _bridge(spec)
+    K = boxes.get(start)
+    if K is None:
+        K = boxes[start] = Box(system, tuple(
+            BlockRef(v % q, system.partition(axis, v % q).block_containing(v))
+            for axis, (v, q) in enumerate(zip(start, spec.q))
+        ))
+    return K
 
 
-def require_bound(
-    t: TorusTiling, name, trees: Optional[dict] = None
-) -> tuple[PParams, CStats, bool]:
+def require_bound(t: TorusTiling, name) -> tuple[PParams, CStats, bool]:
     """p(T), the c statistics of T's box family G and G's multipile
     verdict, after checking the bound that Theorem B gives T, on any sides.
 
-    require_theorem_b checks c(G) <= |G| - 1, with equality iff G is a
-    multipile.  Every partition G uses is hidden, so the bridge
-    c_i(G) = (m_i - 1)|p_i(T)| holds on each axis i; it is checked too.
-    With |G| = m_1...m_d, Theorem B then reads
+    Theorem B is checked as require_theorem_b checks it: c(G) <= |G| - 1,
+    with equality iff G is a multipile.  Every partition G uses is hidden,
+    so the bridge c_i(G) = (m_i - 1)|p_i(T)| holds on each axis i; it is
+    checked too.  With |G| = m_1...m_d, Theorem B then reads
     sum_i (m_i - 1)|p_i(T)| <= m_1...m_d - 1 with the same equality case,
     and for equal sides n this is Theorem C, p(T) <= (n^d - 1)/(n - 1).
     A violation raises TheoremViolationError naming `name`.  T is
     validated once, as p_params would validate it.
-
-    `trees` is a census's recognizer memo over the tilings of T's spec:
-    it maps a set of starts, as the OR of 1 << i over their row-major
-    indices i, to the witness tree of their boxes, or to None.  G's boxes
-    follow T's sorted starts, so a SharedMemo over it is sound.
     """
     require_valid(t)
+    G = _box_family(t.spec, t.starts)
+    return _require_bound(t, name, G, (1 << len(G)) - 1, {})
+
+
+def _require_bound(
+    t: TorusTiling, name, G: BoxFamily, mask: int, memo: dict
+) -> tuple[PParams, CStats, bool]:
+    """require_bound on the valid tiling T, whose boxes are those of G at
+    bit mask `mask`, in T's start order; the recognizer reads and fills
+    `memo`, keyed by masks over G."""
     params = _p_params(t)
-    memo = None
-    if trees is not None:
-        strides = row_major_strides(t.spec.cell_sizes)
-        memo = SharedMemo(trees, [1 << sum(map(mul, s, strides)) for s in t.starts])
-    stats, multipile = require_theorem_b(_box_family(t), name, memo)
+    stats, multipile = _theorem_b(G, mask, memo, name)
     weighted = tuple((m - 1) * len(v) for m, v in zip(t.spec.m, params.per_axis))
     if stats.c_per_axis != weighted:
         raise TheoremViolationError(

@@ -14,7 +14,6 @@ import pytest
 
 import kellerpack.multipiles
 from kellerpack import (
-    MultipileResult,
     TorusSpec,
     TorusTiling,
     acceptance,
@@ -175,7 +174,7 @@ def test_criterion_4_raises_naming_the_family(monkeypatch):
     ]
     monkeypatch.setattr(acceptance, "_theorem_b_families", lambda: iter(families))
     monkeypatch.setattr(
-        kellerpack.multipiles, "is_multipile", lambda G: MultipileResult(False)
+        kellerpack.multipiles, "_multipile", lambda G, memo, mask: None
     )
     with pytest.raises(TheoremViolationError) as exc:
         acceptance.criterion_4_complexity_bound()

@@ -18,7 +18,7 @@ from kellerpack import (
     p_params,
     validate_tiling,
 )
-from kellerpack.boxes import row_major_strides
+from kellerpack.boxes import BoxFamily, row_major_strides
 from kellerpack.census import (
     _axis_permutations,
     _group,
@@ -33,7 +33,6 @@ from kellerpack.census import (
 )
 from kellerpack.cli import main
 from kellerpack.errors import BudgetExceededError, InvalidTilingError
-from kellerpack.multipiles import SharedMemo, require_theorem_b
 from kellerpack.partitions import elems_of
 from kellerpack.serialization import tree_to_obj
 from kellerpack.torus import require_bound, to_box_family
@@ -712,41 +711,74 @@ MEMO_GRIDS = [(m, q, frozenset()) for m, q, _ in ORDER_GRIDS] + [
 
 
 class TestCensusMemo:
-    """census_from_tilings decides each sub-family once per call: one
-    recognizer memo, keyed by the sub-family's start indices, serves
-    every tiling it folds."""
+    """census_from_tilings decides each sub-family once per call: its
+    tilings are masks over one family of their starts' Boxes, and one
+    recognizer memo and one set of status tables, keyed by those masks,
+    serve every tiling it folds."""
 
     @pytest.mark.parametrize("m,q,symmetry", MEMO_GRIDS)
-    def test_trees_match_a_fresh_recognizer(self, m, q, symmetry):
-        # each tiling's family over the memo the census shares, then a
-        # fresh recognizer on a family of its own
+    def test_trees_match_a_fresh_recognizer(self, m, q, symmetry, monkeypatch):
+        # each tiling's tree as the census decides it over the memo it
+        # shares, then a fresh recognizer on a family of its own
         spec = TorusSpec(m, q)
-        index = {s: i for i, s in enumerate(_tables(spec)[0])}
-        trees: dict = {}
-        for t in enumerate_tilings(spec, symmetry):
+        tilings = enumerate_tilings(spec, symmetry)
+        trees = {}
+        multipile = MULTIPILES_MODULE._multipile
+
+        def spying(G, memo, mask):
+            tree = multipile(G, memo, mask)
+            if mask.bit_count() == spec.n_cubes:
+                trees[tuple(G.boxes[i] for i in elems_of(mask))] = tree
+            return tree
+
+        monkeypatch.setattr(MULTIPILES_MODULE, "_multipile", spying)
+        row = census_from_tilings(spec, symmetry, tilings)
+        monkeypatch.undo()
+        assert len(trees) == len(tilings)
+        verdicts = 0
+        for t in tilings:
             G = to_box_family(t)
-            memo = SharedMemo(trees, [1 << index[s] for s in t.starts])
-            _, verdict = require_theorem_b(G, t.starts, memo)
-            tree = memo[(1 << len(G)) - 1]
-            fresh = is_multipile(to_box_family(t))
-            assert verdict == fresh.verdict == (tree is not None)
+            tree, fresh = trees[G.boxes], is_multipile(G)
+            assert fresh.verdict == (tree is not None)
             if tree is not None:
                 assert tree_to_obj(tree) == tree_to_obj(fresh.tree)
+            verdicts += fresh.verdict
+        assert row.multipile_count == verdicts
 
-    def test_require_bound_keys_the_memo_by_start_index(self):
-        # the census's path fills the memo the test above checks, with
-        # every proper sub-family it decides and no whole tiling
+    def test_the_shared_memo_and_tables_hold_no_whole_tiling(self, monkeypatch):
+        # one family and one memo serve the whole census; they keep every
+        # proper sub-family decided and drop each tiling once it is checked
         spec = TorusSpec((2, 2, 3), (1, 2, 6))
-        index = {s: i for i, s in enumerate(_tables(spec)[0])}
-        by_bound: dict = {}
-        by_index: dict = {}
-        for t in enumerate_tilings(spec):
-            require_bound(t, t.starts, by_bound)
-            memo = SharedMemo(by_index, [1 << index[s] for s in t.starts])
-            require_theorem_b(to_box_family(t), t.starts, memo)
-        assert by_bound == by_index
-        sizes = {key.bit_count() for key in by_bound}
+        shared = {}
+        multipile = MULTIPILES_MODULE._multipile
+
+        def spying(G, memo, mask):
+            shared[id(G), id(memo)] = G, memo
+            return multipile(G, memo, mask)
+
+        monkeypatch.setattr(MULTIPILES_MODULE, "_multipile", spying)
+        assert census(spec).tilings_total == 122
+        [(family, memo)] = shared.values()
+        sizes = {mask.bit_count() for mask in memo}
         assert sizes and max(sizes) < spec.n_cubes
+        assert set(family._tables) <= set(memo)
+
+    def test_each_start_set_gets_its_table_built_once(self, monkeypatch):
+        # the box sets whose partition-status table is built rather than read
+        spec = TorusSpec((2, 2, 2), (2, 2, 2))
+        tilings = enumerate_tilings(spec)
+        built = []
+        status = BoxFamily._status
+
+        def spying(G, mask):
+            if mask not in G._tables:
+                built.append(frozenset(G.boxes[i] for i in elems_of(mask)))
+            return status(G, mask)
+
+        monkeypatch.setattr(BoxFamily, "_status", spying)
+        row = census_from_tilings(spec, ALL_SYMMETRIES, tilings)
+        assert row.tilings_total == len(tilings) == 9
+        assert built and len(built) == len(set(built))
 
     def test_each_start_set_is_decided_once(self, monkeypatch):
         # the box sets whose tree the recognizer builds rather than reads

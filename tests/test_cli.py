@@ -223,15 +223,15 @@ class TestAnalyze:
 
     # the laminated fixture attains its bound, so a recognizer that rejects
     # it contradicts the equality case: both reports read the verdict in
-    # multipiles.require_theorem_b
+    # multipiles._theorem_b, whose recursion here rejects every mask
     @pytest.mark.parametrize(
         "obj", [tiling_obj(), family_obj()], ids=["tiling", "family"]
     )
     def test_failed_bound_exits_4(self, tmp_path, monkeypatch, capsys, obj):
         monkeypatch.setattr(
             importlib.import_module("kellerpack.multipiles"),
-            "is_multipile",
-            lambda G: MultipileResult(False),
+            "_multipile",
+            lambda G, memo, mask: None,
         )
         path = write(tmp_path, "in.json", obj)
         code = main(["analyze", path])
@@ -240,9 +240,11 @@ class TestAnalyze:
     def test_exceeded_bound_exits_4(self, tmp_path, monkeypatch, capsys):
         # c(G) = |G| is one above Theorem B's bound
         monkeypatch.setattr(
-            importlib.import_module("kellerpack.multipiles"),
-            "c_stats",
-            lambda G: CStats((frozenset(), frozenset()), (len(G), 0), len(G)),
+            kellerpack.boxes.BoxFamily,
+            "_stats",
+            lambda G, mask: CStats(
+                (frozenset(), frozenset()), (mask.bit_count(), 0), mask.bit_count()
+            ),
         )
         path = write(tmp_path, "g.json", family_obj())
         code = main(["analyze", path])
@@ -345,8 +347,8 @@ class TestCensusCommand:
     def test_failed_bound_exits_4(self, monkeypatch, capsys):
         # the laminated tiling attains the bound, so a recognizer that
         # rejects it contradicts the equality case; the grid does not.
-        # The census decides over its shared memo, not through
-        # is_multipile, so the recursion itself rejects every mask
+        # The census decides over its shared memo, so the recursion
+        # itself rejects every mask
         monkeypatch.setattr(
             importlib.import_module("kellerpack.multipiles"),
             "_multipile",
